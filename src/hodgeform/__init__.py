@@ -42,6 +42,7 @@ from .hodge import (
     hodge_decompose,
     laplacian,
     random_weights,
+    spectral_gaps,
     unit_weights,
     weights_from_arrays,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "weights_from_arrays",
     "laplacian",
     "harmonic_basis",
+    "spectral_gaps",
     "harmonic_projection",
     "hodge_decompose",
     "cup",

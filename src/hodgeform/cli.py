@@ -38,7 +38,13 @@ from .complexes import (
 from .cup import intersection_form
 from .errors import NumericalError
 from .formality import SearchConfig, formality_residual, search_formal_weights
-from .hodge import harmonic_basis, random_weights, unit_weights, weights_from_arrays
+from .hodge import (
+    harmonic_basis,
+    random_weights,
+    spectral_gaps,
+    unit_weights,
+    weights_from_arrays,
+)
 from .homology import betti_numbers, euler_characteristic, poincare_duality_check
 from .obstructions import (
     check_obstructions,
@@ -149,15 +155,21 @@ def _analyze_report(K: SimplicialComplex, w, stages: set[str], tol: float) -> di
         }
 
     def stage_hodge():
+        bases = [harmonic_basis(K, w, k, tol) for k in range(n + 1)]
+        gaps = spectral_gaps(K, w)
         degrees = []
-        for k in range(n + 1):
-            basis = harmonic_basis(K, w, k, tol)
+        for k, (basis, gap) in enumerate(zip(bases, gaps)):
+            if gap is not None and gap <= tol:
+                raise NumericalError(
+                    f"spectral gap of Delta_{k} is {gap:.3e} <= tolerance {tol:.3e}: "
+                    f"the numerical nullspace does not have dimension b_{k}"
+                )
             degrees.append(
                 {
                     "degree": k,
                     "dimension": basis.cardinality,
                     "residual": basis.residual,
-                    "spectral_gap": basis.gap,
+                    "spectral_gap": gap,
                 }
             )
         payload = {"tolerance": tol, "degrees": degrees}
@@ -188,7 +200,7 @@ def _analyze_report(K: SimplicialComplex, w, stages: set[str], tol: float) -> di
         report["formality"] = formality_residual(K, w, tol).to_dict()
 
     def stage_obstructions():
-        summary = summarize(K, w)
+        summary = summarize(K, w, tol)
         payload = check_obstructions(summary).to_dict()
         payload["summary"] = summary_to_dict(summary)
         report["obstructions"] = payload
@@ -232,6 +244,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.init == "file" and args.weights is None:
+        raise ValueError("--init file needs --weights")
+    if args.init != "file" and args.weights is not None:
+        raise ValueError(f"--weights is read only with --init file, not --init {args.init}")
     K = load_complex(args.complex)
     if args.init == "random":
         initial = random_weights(K, np.random.default_rng(args.seed))

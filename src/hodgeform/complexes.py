@@ -82,6 +82,23 @@ class SimplicialComplex:
             for level in self.simplices_by_dim
         )
 
+    @cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def derived(self, key: str, build):
+        """``build(self)``, computed on first use and kept with the complex.
+
+        Results that depend on the complex alone (the exact reduction, the
+        coboundary operators, cup-product index arrays) live here, so each
+        is built once per complex and dropped with it.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
+
     def index_of(self, simplex: tuple[int, ...], k: int) -> int:
         """Index of a k-simplex in the degree-k list."""
         return self._index_maps[k][tuple(simplex)]
@@ -180,16 +197,14 @@ def _ridge_incidence(K: SimplicialComplex):
     return incidence
 
 
-def is_closed_pseudomanifold(K: SimplicialComplex) -> bool:
-    """True iff every ridge lies in exactly two facets and the facet
-    adjacency graph is connected."""
+def _closed_pseudomanifold(K: SimplicialComplex) -> bool:
     n = K.dimension
     facets = K.facets
     if not facets:
         return False
     if n == 0:
         return len(facets) == 1
-    incidence = _ridge_incidence(K)
+    incidence = K.derived("ridge_incidence", _ridge_incidence)
     if any(len(fs) != 2 for fs in incidence.values()):
         return False
     # facet adjacency connectivity
@@ -207,19 +222,17 @@ def is_closed_pseudomanifold(K: SimplicialComplex) -> bool:
     return len(seen) == len(facets)
 
 
-def orient(K: SimplicialComplex) -> Orientation | None:
-    """Propagate facet signs across ridges; None when no consistent choice
-    exists (non-orientable).
+def is_closed_pseudomanifold(K: SimplicialComplex) -> bool:
+    """True iff every ridge lies in exactly two facets and the facet
+    adjacency graph is connected.  Computed once per complex."""
+    return K.derived("closed_pseudomanifold", _closed_pseudomanifold)
 
-    The facet with the lexicographically smallest vertex tuple gets +1, so
-    the result is deterministic.
-    """
-    if not is_closed_pseudomanifold(K):
-        raise ValueError("orient requires a closed pseudomanifold")
+
+def _orientation(K: SimplicialComplex) -> Orientation | None:
     facets = K.facets
     if K.dimension == 0:
         return Orientation((1,))
-    incidence = _ridge_incidence(K)
+    incidence = K.derived("ridge_incidence", _ridge_incidence)
     signs: dict[int, int] = {0: 1}
     stack = [0]
     # neighbor lists carrying the omitted positions on both sides
@@ -240,6 +253,18 @@ def orient(K: SimplicialComplex) -> Orientation | None:
                 signs[g] = required
                 stack.append(g)
     return Orientation(tuple(signs[i] for i in range(len(facets))))
+
+
+def orient(K: SimplicialComplex) -> Orientation | None:
+    """Propagate facet signs across ridges; None when no consistent choice
+    exists (non-orientable).
+
+    The facet with the lexicographically smallest vertex tuple gets +1, so
+    the result is deterministic.  Computed once per complex.
+    """
+    if not is_closed_pseudomanifold(K):
+        raise ValueError("orient requires a closed pseudomanifold")
+    return K.derived("orientation", _orientation)
 
 
 def product_complex(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:

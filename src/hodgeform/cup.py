@@ -47,15 +47,24 @@ def cup(K: SimplicialComplex, a: Cochain, b: Cochain) -> Cochain:
         )
     if len(a.values) != K.simplex_count(k) or len(b.values) != K.simplex_count(l):
         raise ValueError("cochain lengths do not match the complex")
+    front, back = K.derived(f"cup_faces:{k},{l}", lambda K: _face_indices(K, k, l))
+    av, bv = a.values, b.values
+    if av.dtype == object or bv.dtype == object:
+        # exact cochains (ints, Fractions) keep Python arithmetic
+        out = np.asarray(av, dtype=object)[front] * np.asarray(bv, dtype=object)[back]
+    else:
+        out = np.asarray(av, dtype=np.float64)[front] * np.asarray(bv, dtype=np.float64)[back]
+    return Cochain(k + l, out)
+
+
+def _face_indices(K: SimplicialComplex, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the front k-face and the back l-face of every (k+l)-simplex."""
     front_index = K._index_maps[k]
     back_index = K._index_maps[l]
     targets = K.simplices(k + l)
-    av, bv = a.values, b.values
-    exact = av.dtype == object or bv.dtype == object
-    out = np.empty(len(targets), dtype=object if exact else np.float64)
-    for i, s in enumerate(targets):
-        out[i] = av[front_index[s[: k + 1]]] * bv[back_index[s[k:]]]
-    return Cochain(k + l, out)
+    front = np.fromiter((front_index[s[: k + 1]] for s in targets), np.int64, len(targets))
+    back = np.fromiter((back_index[s[k:]] for s in targets), np.int64, len(targets))
+    return front, back
 
 
 def evaluate_on_fundamental_class(

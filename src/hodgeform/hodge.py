@@ -7,17 +7,37 @@ of the boundary operator; its adjoint under the weights is
     delta_k = W_{k-1}^{-1} d_{k-1}^T W_k
 
 and the degree-k Laplacian is Delta_k = delta_{k+1} d_k + d_{k-1} delta_k.
-Solvers work on the similar symmetric matrix S_k = W^{1/2} Delta_k W^{-1/2},
-whose orthonormal eigenvectors turn into w-orthonormal eigenvectors of
-Delta_k after scaling by W^{-1/2}.
+
+Harmonic bases are built from exact cocycles, not from eigensolves.
+Delta_k x = 0 holds exactly when d_k x = 0 and d_{k-1}^T W_k x = 0, so the
+harmonic space is the W_k-orthogonal complement of im d_{k-1} inside
+ker d_k, and it depends on w_k alone (the weighted Hodge split, as in Lim,
+"Hodge Laplacians on graphs", SIAM Review 2020).  The exact reduction of
+:mod:`hodgeform.homology` supplies, once per complex, integral cocycles X_k
+(one per cohomology class, in class order) and an independent column set
+J_{k-1} of d_{k-1}.  With D the columns J_{k-1} of d_{k-1}, the normal
+matrix N_k = D^T W_k D is sparse and positive definite.  One factorization
+of it projects X_k W_k-orthogonally off im d_{k-1}; a Cholesky factor of the
+Gram matrix of the result then W_k-orthonormalizes it, keeping class order.
+
+What ``tolerance`` certifies: :func:`harmonic_basis` raises
+:class:`NumericalError` when the reciprocal condition of that Gram matrix is
+at most ``tol`` (the projected cocycles are numerically dependent), and
+when a basis vector's harmonicity residual ||Delta v||_w exceeds
+RESIDUAL_LIMIT.  :func:`spectral_gaps` reports, per degree, the first
+nonzero eigenvalue of S_k = W^{1/2} Delta_k W^{-1/2} over the Gershgorin
+scale of S_k; the analysis pipeline raises when that gap is at most ``tol``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
+import warnings
+import zipfile
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +47,7 @@ import scipy.sparse.linalg as spla
 
 from .complexes import Cochain, SimplicialComplex
 from .errors import NumericalError
-from .homology import betti_numbers, boundary_matrix
+from .homology import cohomology_reduction
 
 __all__ = [
     "MetricWeights",
@@ -37,17 +57,25 @@ __all__ = [
     "weights_from_arrays",
     "inner",
     "norm",
-    "coboundary",
     "laplacian",
     "harmonic_basis",
+    "spectral_gaps",
     "harmonic_projection",
     "hodge_decompose",
 ]
 
 DEFAULT_TOL = 1e-9
-# Dense symmetric eigendecomposition below this size; shift-invert iteration
-# above, certified against the exact Betti number either way.
-DENSE_EIGEN_LIMIT = 3000
+# Largest accepted harmonicity residual ||Delta v||_w of a unit basis vector,
+# and largest accepted entry of H^T W H - I for a basis read from disk.
+RESIDUAL_LIMIT = 1e-8
+GRAM_DEFECT_LIMIT = 1e-10
+# Bases kept per complex, keyed by (degree, that degree's weights).  A
+# search move changes one degree, so the other degrees hit the entries of
+# the current weights; 16 holds the current and the candidate weights of
+# every degree up to dimension 4 with room to spare.  Factors of N_k are
+# kept apart from the bases, one per degree (for the latest w_k), since
+# they can be far larger than the bases.
+_SPLIT_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,68 +148,81 @@ def norm(w: MetricWeights, k: int, x: np.ndarray) -> float:
     return float(np.sqrt(max(inner(w, k, x, x), 0.0)))
 
 
-def coboundary(K: SimplicialComplex, k: int) -> sp.csr_matrix:
-    """d_k: k-cochains -> (k+1)-cochains (transpose of the boundary)."""
-    if not 0 <= k < K.dimension:
-        raise ValueError(f"coboundary degree {k} out of range")
-    return boundary_matrix(K, k + 1).T.tocsr().astype(np.float64)
+@dataclass(frozen=True, eq=False)
+class _Split:
+    """The degree-k harmonic basis for one w_k."""
+
+    vectors: np.ndarray
+    gram_rcond: float
 
 
-@lru_cache(maxsize=512)
-def _sym_factors(K: SimplicialComplex, w: MetricWeights, k: int):
-    """(up, down) with S_k = up^T up + down down^T, in W^{1/2} coordinates."""
-    _check_weights(K, w)
-    sqrt_k = np.sqrt(w.degree(k))
-    up = None
-    if k < K.dimension:
-        d = coboundary(K, k)
-        up = sp.diags(np.sqrt(w.degree(k + 1))) @ d @ sp.diags(1.0 / sqrt_k)
-    down = None
+class _Operators:
+    """What one complex needs for every weight: float coboundaries, the
+    exact-span columns D and the cocycles per degree, plus the bounded cache
+    of per-(degree, w_k) splits."""
+
+    def __init__(self, K: SimplicialComplex):
+        red = cohomology_reduction(K)
+        n = K.dimension
+        self.d = tuple(d.tocsr().astype(np.float64) for d in red.coboundaries)
+        # exact_span[k] = d_{k-1} restricted to the independent columns J_{k-1}
+        self.exact_span = (None,) + tuple(
+            self.d[k - 1][:, red.independent[k - 1]].tocsc() for k in range(1, n + 1)
+        )
+        self.independent = red.independent
+        self.cocycles = tuple(X.astype(np.float64) for X in red.cocycles)
+        self.splits: OrderedDict[tuple[int, bytes], _Split] = OrderedDict()
+        # degree -> (w_k bytes, factor of N_k for those weights)
+        self.factors: dict[int, tuple[bytes, spla.SuperLU]] = {}
+
+    def cached_split(self, k: int, wk: np.ndarray) -> _Split | None:
+        key = (k, wk.tobytes())
+        split = self.splits.get(key)
+        if split is not None:
+            self.splits.move_to_end(key)
+        return split
+
+    def remember(self, k: int, wk: np.ndarray, split: _Split) -> None:
+        self.splits[(k, wk.tobytes())] = split
+        while len(self.splits) > _SPLIT_CACHE_SIZE:
+            self.splits.popitem(last=False)
+
+
+def _operators(K: SimplicialComplex) -> _Operators:
+    return K.derived("hodge_operators", _Operators)
+
+
+def _laplacian(ops: _Operators, w: MetricWeights, k: int) -> sp.csr_matrix:
+    m = len(w.degree(k))
+    out = sp.csr_matrix((m, m))
+    if k < len(ops.d):
+        d = ops.d[k]
+        out = out + sp.diags(1.0 / w.degree(k)) @ d.T @ sp.diags(w.degree(k + 1)) @ d
     if k > 0:
-        d = coboundary(K, k - 1)
-        down = sp.diags(sqrt_k) @ d @ sp.diags(1.0 / np.sqrt(w.degree(k - 1)))
-    return up, down
+        d = ops.d[k - 1]
+        out = out + d @ sp.diags(1.0 / w.degree(k - 1)) @ d.T @ sp.diags(w.degree(k))
+    return out.tocsr()
 
 
-@lru_cache(maxsize=512)
-def _sym_laplacian(K: SimplicialComplex, w: MetricWeights, k: int) -> sp.csr_matrix:
-    m = K.simplex_count(k)
-    up, down = _sym_factors(K, w, k)
-    S = sp.csr_matrix((m, m))
-    if up is not None:
-        S = S + up.T @ up
-    if down is not None:
-        S = S + down @ down.T
-    return S.tocsr()
-
-
-@lru_cache(maxsize=512)
 def laplacian(K: SimplicialComplex, w: MetricWeights, k: int) -> sp.csr_matrix:
     """Delta_k as a sparse matrix; self-adjoint under the weighted inner
     product and positive semidefinite (not symmetric as a plain matrix)."""
     if not 0 <= k <= K.dimension:
         raise ValueError(f"degree {k} out of range 0..{K.dimension}")
     _check_weights(K, w)
-    m = K.simplex_count(k)
-    out = sp.csr_matrix((m, m))
-    if k < K.dimension:
-        d = coboundary(K, k)
-        out = out + sp.diags(1.0 / w.degree(k)) @ d.T @ sp.diags(w.degree(k + 1)) @ d
-    if k > 0:
-        d = coboundary(K, k - 1)
-        out = out + d @ sp.diags(1.0 / w.degree(k - 1)) @ d.T @ sp.diags(w.degree(k))
-    return out.tocsr()
+    return _laplacian(_operators(K), w, k)
 
 
 @dataclass(frozen=True, eq=False)
 class HarmonicBasis:
-    """w-orthonormal basis of the numerical nullspace of Delta_k.
+    """w-orthonormal basis of the harmonic k-cochains, in class order.
 
-    ``vectors`` has one column per basis element; cardinality always equals
-    the Betti number (enforced at construction).  ``residual`` is the worst
-    relative harmonicity defect ||Delta v||_w / ||v||_w over the basis, and
-    ``gap`` the first nonzero eigenvalue relative to the spectral scale, so
-    the margin of the nullspace call can be audited.
+    ``vectors`` has one column per basis element (read-only; it is shared
+    between calls with equal degree-k weights); cardinality always equals
+    the Betti number.  ``residual`` is the worst harmonicity defect
+    ||Delta v||_w over the (unit) basis vectors, and ``gram_rcond`` the
+    reciprocal condition of the Gram matrix of the projected cocycles, the
+    margin that ``tolerance`` certifies.
     """
 
     degree: int
@@ -189,7 +230,7 @@ class HarmonicBasis:
     weights: MetricWeights
     tolerance: float
     residual: float
-    gap: float | None
+    gram_rcond: float
 
     @property
     def cardinality(self) -> int:
@@ -200,166 +241,276 @@ class HarmonicBasis:
         return [Cochain(self.degree, self.vectors[:, i]) for i in range(self.cardinality)]
 
 
-def _gershgorin_scale(S: sp.csr_matrix) -> float:
-    if S.shape[0] == 0 or S.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(S).sum(axis=1)))
+def _normal_factor(ops: _Operators, k: int, wk: np.ndarray) -> spla.SuperLU | None:
+    """Sparse LU of N_k = D^T W_k D (positive definite, so diagonal pivots
+    on a symmetric fill-reducing order), or None when im d_{k-1} = 0.
 
-
-def _small_eigs(S: sp.csr_matrix, count: int, scale: float):
-    """Smallest ``count`` eigenpairs of the symmetric PSD matrix S."""
-    m = S.shape[0]
-    if m <= DENSE_EIGEN_LIMIT:
-        vals, vecs = scipy.linalg.eigh(
-            S.toarray(), subset_by_index=[0, min(count, m) - 1]
-        )
-        return vals, vecs
-    # Shift-invert about a small negative sigma keeps S - sigma*I positive
-    # definite; the shift must stay far below the spectral gap or the
-    # transformed kernel cluster loses its separation.  The symmetric
-    # minimum-degree ordering keeps the factor sparse.
-    k_req = min(count, m - 1)
-    sigma = -max(scale, 1.0) * 1e-8
-    shifted = (S - sigma * sp.identity(m, format="csr")).tocsc()
-    lu = spla.splu(
-        shifted,
+    Only the factor for the latest w_k of each degree is kept."""
+    if k == 0 or not ops.exact_span[k].shape[1]:
+        return None
+    key = wk.tobytes()
+    held = ops.factors.get(k)
+    if held is not None and held[0] == key:
+        return held[1]
+    ops.factors.pop(k, None)
+    D = ops.exact_span[k]
+    N = (D.T @ sp.diags(wk) @ D).tocsc()
+    factor = spla.splu(
+        N,
         permc_spec="MMD_AT_PLUS_A",
-        options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
+        options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
     )
-    op_inv = spla.LinearOperator((m, m), matvec=lu.solve, dtype=np.float64)
-    rng = np.random.default_rng(0x5EED)
-    v0 = rng.standard_normal(m)
-    vals, vecs = spla.eigsh(
-        S,
-        k=k_req,
-        sigma=sigma,
-        which="LM",
-        v0=v0,
-        OPinv=op_inv,
-        ncv=min(m, max(24, 4 * k_req)),
-    )
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    ops.factors[k] = (key, factor)
+    return factor
+
+
+def _orthonormalize(X: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """X L^{-T} with L L^T the W-Gram matrix of X (done twice, which brings
+    the W-orthogonality defect to round-off for any certified X)."""
+    for _ in range(2):
+        L = np.linalg.cholesky(X.T @ (wk[:, None] * X))
+        X = scipy.linalg.solve_triangular(L, X.T, lower=True).T
+    return X
+
+
+def _rcond(gram: np.ndarray) -> float:
+    """Reciprocal condition of a symmetric positive semidefinite matrix."""
+    if not gram.size:
+        return 1.0
+    eigs = np.linalg.eigvalsh(gram)
+    return float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else 0.0
+
+
+def _build_split(ops: _Operators, k: int, wk: np.ndarray) -> _Split:
+    X = ops.cocycles[k]
+    if not X.shape[1]:
+        return _Split(np.zeros((len(wk), 0)), 1.0)
+    factor = _normal_factor(ops, k, wk)
+    if factor is not None:
+        D = ops.exact_span[k]
+        X = X - D @ factor.solve(np.asarray(D.T @ (wk[:, None] * X)))
+    rcond = _rcond(X.T @ (wk[:, None] * X))
+    try:
+        H = _orthonormalize(X, wk)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            f"projected degree-{k} cocycles are numerically dependent "
+            f"(Gram reciprocal condition {rcond:.3e})"
+        ) from None
+    H.flags.writeable = False
+    return _Split(H, rcond)
+
+
+def _residual(ops: _Operators, w: MetricWeights, k: int, H: np.ndarray) -> float:
+    """max_i ||Delta_k h_i||_w / ||h_i||_w without forming Delta_k."""
+    if not H.shape[1]:
+        return 0.0
+    wk = w.degree(k)[:, None]
+    out = np.zeros_like(H)
+    if k < len(ops.d):
+        d = ops.d[k]
+        out += (d.T @ (w.degree(k + 1)[:, None] * (d @ H))) / wk
+    if k > 0:
+        d = ops.d[k - 1]
+        out += d @ ((d.T @ (wk * H)) / w.degree(k - 1)[:, None])
+    defect = np.sqrt(np.sum(wk * out**2, axis=0))
+    size = np.sqrt(np.sum(wk * H**2, axis=0))
+    return float(np.max(defect / size))
 
 
 # Optional on-disk reuse of harmonic bases between runs, keyed by content
-# hash of (complex, weights, degree, tolerance).  Enabled by pointing the
-# HODGEFORM_CACHE_DIR environment variable at a directory.
-def _cache_dir() -> Path | None:
-    path = os.environ.get("HODGEFORM_CACHE_DIR")
-    return Path(path) if path else None
-
-
-def _cache_key(K: SimplicialComplex, w: MetricWeights, k: int, tol: float) -> str:
+# hash of (complex, degree, degree-k weights): the basis depends on nothing
+# else.  Enabled by pointing the HODGEFORM_CACHE_DIR environment variable at
+# a directory.  A file holds the basis vectors only; it is trusted only
+# after the same certificates a fresh basis passes, and the Gram condition
+# of the projected cocycles is recomputed from it (see _cache_load).
+def _cache_path(K: SimplicialComplex, wk: np.ndarray, k: int) -> Path | None:
+    root = os.environ.get("HODGEFORM_CACHE_DIR")
+    if not root:
+        return None
     digest = hashlib.sha256()
     digest.update(repr(K.f_vector).encode())
     for facet in K.facets:
         digest.update(np.asarray(facet, dtype=np.int64).tobytes())
-    for arr in w.by_degree:
-        digest.update(arr.astype(np.float64).tobytes())
-    digest.update(f"deg={k};tol={tol!r};v1".encode())
-    return digest.hexdigest()
+    digest.update(wk.astype(np.float64).tobytes())
+    digest.update(f"deg={k};v2".encode())
+    return Path(root) / f"basis-{digest.hexdigest()}.npz"
 
 
-def _cache_load(key: str, w: MetricWeights, k: int, tol: float) -> "HarmonicBasis | None":
-    root = _cache_dir()
-    if root is None:
-        return None
-    path = root / f"basis-{key}.npz"
+def _cache_load(
+    path: Path, ops: _Operators, w: MetricWeights, k: int
+) -> _Split | None:
     if not path.exists():
         return None
     try:
         with np.load(path) as payload:
-            gap = float(payload["gap"])
-            return HarmonicBasis(
-                k,
-                payload["vectors"],
-                w,
-                tol,
-                float(payload["residual"]),
-                None if gap < 0 else gap,
-            )
-    except Exception:
+            vectors = np.asarray(payload["vectors"], dtype=np.float64)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        warnings.warn(f"ignoring unreadable harmonic-basis cache file {path}: {exc}")
         return None
+    wk = w.degree(k)
+    problem = None
+    if vectors.shape != ops.cocycles[k].shape:
+        problem = f"shape {vectors.shape}, expected {ops.cocycles[k].shape}"
+    elif not np.all(np.isfinite(vectors)):
+        problem = "non-finite vectors"
+    else:
+        gram = vectors.T @ (wk[:, None] * vectors)
+        defect = float(np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0))
+        residual = _residual(ops, w, k, vectors)
+        if defect > GRAM_DEFECT_LIMIT:
+            problem = f"Gram matrix off the identity by {defect:.3e}"
+        elif residual > RESIDUAL_LIMIT:
+            problem = f"harmonicity residual {residual:.3e}"
+    if problem is not None:
+        warnings.warn(f"ignoring uncertified harmonic-basis cache file {path}: {problem}")
+        return None
+    # A certified H spans the harmonic space W-orthonormally, and the
+    # projected cocycles are the harmonic parts of the cocycles X, i.e.
+    # H C with C = H^T W X.  Their Gram matrix is therefore C^T C.
+    C = vectors.T @ (wk[:, None] * ops.cocycles[k])
+    vectors.flags.writeable = False
+    return _Split(vectors, _rcond(C.T @ C))
 
 
-def _cache_store(key: str, basis: "HarmonicBasis") -> None:
-    root = _cache_dir()
-    if root is None:
-        return
+def _cache_store(path: Path, split: _Split) -> None:
     try:
-        root.mkdir(parents=True, exist_ok=True)
-        np.savez(
-            root / f"basis-{key}.npz",
-            vectors=basis.vectors,
-            residual=basis.residual,
-            gap=-1.0 if basis.gap is None else basis.gap,
-        )
-    except OSError:
-        pass
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".basis-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, vectors=split.vectors)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        warnings.warn(f"could not write harmonic-basis cache file {path}: {exc}")
 
 
-@lru_cache(maxsize=512)
+def _split(K: SimplicialComplex, w: MetricWeights, k: int) -> _Split:
+    """The degree-k split for w_k: from memory, else from a certified disk
+    file, else built (and written to disk when the cache is enabled)."""
+    ops = _operators(K)
+    wk = w.degree(k)
+    split = ops.cached_split(k, wk)
+    if split is None:
+        path = _cache_path(K, wk, k)
+        split = None if path is None else _cache_load(path, ops, w, k)
+        if split is None:
+            split = _build_split(ops, k, wk)
+            if path is not None:
+                _cache_store(path, split)
+        ops.remember(k, wk, split)
+    return split
+
+
 def harmonic_basis(
     K: SimplicialComplex, w: MetricWeights, k: int, tol: float = DEFAULT_TOL
 ) -> HarmonicBasis:
-    """Orthonormal (under w) spanning set of the nullspace of Delta_k.
+    """W_k-orthonormal basis of the harmonic k-cochains, in class order.
 
-    Fails loudly when the numerical nullspace dimension disagrees with the
-    Betti number, which signals a tolerance or conditioning problem rather
-    than topology.
+    Built from the integral cocycles of the exact reduction, so the vectors
+    depend on w_k alone.  Fails loudly when the Gram matrix of the projected
+    cocycles has reciprocal condition at most ``tol`` or a basis vector's
+    harmonicity residual exceeds RESIDUAL_LIMIT.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if not 0 <= k <= K.dimension:
         raise ValueError(f"degree {k} out of range 0..{K.dimension}")
     _check_weights(K, w)
-    b = betti_numbers(K)[k]
-    m = K.simplex_count(k)
-    if m == 0:
-        if b != 0:
-            raise NumericalError(f"empty degree {k} but b_{k}={b}")
-        return HarmonicBasis(k, np.zeros((0, 0)), w, tol, 0.0, None)
-    key = _cache_key(K, w, k, tol)
-    cached = _cache_load(key, w, k, tol)
-    if cached is not None and cached.vectors.shape == (m, b):
-        return cached
-
-    S = _sym_laplacian(K, w, k)
-    scale = _gershgorin_scale(S)
-    thresh = tol * scale
-    vals, vecs = _small_eigs(S, min(b + 1, m), scale)
-
-    def _certified(v):
-        ok = int(np.count_nonzero(v <= thresh)) == b
-        return ok and (len(v) <= b or v[b] > thresh)
-
-    if not _certified(vals) and m > DENSE_EIGEN_LIMIT and m <= 8000:
-        # iterative path missed the certificate; retry with the dense solver
-        vals, vecs = scipy.linalg.eigh(
-            S.toarray(), subset_by_index=[0, min(b + 1, m) - 1]
-        )
-    if not _certified(vals):
-        null_count = int(np.count_nonzero(vals <= thresh))
+    split = _split(K, w, k)
+    if split.gram_rcond <= tol:
         raise NumericalError(
-            f"nullspace of Delta_{k} has numerical dimension {null_count}, "
-            f"but b_{k} = {b} (eigenvalues {vals[: b + 1]}, threshold {thresh:.3e})"
+            f"degree-{k} Gram matrix has reciprocal condition "
+            f"{split.gram_rcond:.3e} <= tolerance {tol:.3e}"
         )
-    gap = float(vals[b] / scale) if len(vals) > b and scale > 0 else None
+    residual = _residual(_operators(K), w, k, split.vectors)
+    if not residual <= RESIDUAL_LIMIT:
+        raise NumericalError(
+            f"degree-{k} harmonic basis has residual {residual:.3e} "
+            f"> {RESIDUAL_LIMIT:.1e}"
+        )
+    return HarmonicBasis(k, split.vectors, w, tol, residual, split.gram_rcond)
 
-    sqrt_w = np.sqrt(w.degree(k))
-    X = vecs[:, :b] / sqrt_w[:, None]
-    residual = 0.0
-    if b:
-        L = laplacian(K, w, k)
-        for i in range(b):
-            x = X[:, i]
-            residual = max(
-                residual, norm(w, k, L @ x) / norm(w, k, x)
-            )
-    basis = HarmonicBasis(k, X, w, tol, residual, gap)
-    _cache_store(key, basis)
-    return basis
+
+def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float | None:
+    """Smallest nonzero eigenvalue mu_j of the pencil
+    (d_{j-1}^T W_j d_{j-1}, W_{j-1}), or None when d_{j-1} = 0.
+
+    Its eigenvectors are the coexact (j-1)-cochains, which the columns J of
+    d_{j-1} parametrize: a coefficient vector c stands for the coexact part
+    of the cochain with values c on J.  In those coordinates the pencil
+    becomes (N_j, M) with M c = E^T W_{j-1} (Ec - P Ec), where P projects
+    onto ker d_{j-1} = im d_{j-2} + harmonic, i.e. via the factor of N_{j-1}
+    and the basis H_{j-1}.  ARPACK finds the largest eigenvalue 1/mu_j of
+    N_j^{-1} M with the factor of N_j; no Laplacian is factorized.
+    """
+    ops = _operators(K)
+    J = ops.independent[j - 1]
+    r = len(J)
+    if r == 0:
+        return None
+    W = w.degree(j - 1)
+    WJ = W[J]
+    D = ops.exact_span[j]
+    wj = w.degree(j)
+    N_factor = _normal_factor(ops, j, wj)
+    below = _normal_factor(ops, j - 1, W)
+    H = _split(K, w, j - 1).vectors
+
+    def coexact_mass(c):
+        u = np.zeros(len(W))
+        u[J] = WJ * c
+        kernel_part = H @ (H.T @ u)
+        if below is not None:
+            Dp = ops.exact_span[j - 1]
+            kernel_part += Dp @ below.solve(Dp.T @ u)
+        return WJ * c - (W * kernel_part)[J]
+
+    def normal(c):
+        return D.T @ (wj * (D @ c))
+
+    if r == 1:
+        one = np.ones(1)
+        return float(normal(one)[0] / coexact_mass(one)[0])
+    theta = spla.eigsh(
+        spla.LinearOperator((r, r), matvec=coexact_mass, dtype=np.float64),
+        k=1,
+        M=spla.LinearOperator((r, r), matvec=normal, dtype=np.float64),
+        Minv=spla.LinearOperator((r, r), matvec=N_factor.solve, dtype=np.float64),
+        which="LA",
+        # the Ritz value's relative error is about the square of this
+        # residual tolerance, far below what the gap is compared against
+        tol=1e-10,
+        v0=np.random.default_rng(0x5EED).standard_normal(r),
+        return_eigenvectors=False,
+    )
+    return float(1.0 / theta[0])
+
+
+def spectral_gaps(K: SimplicialComplex, w: MetricWeights) -> tuple[float | None, ...]:
+    """Per degree k, lambda_{b_k+1}(S_k) over the Gershgorin scale of S_k.
+
+    S_k = W^{1/2} Delta_k W^{-1/2}.  The nonzero spectrum of Delta_k is that
+    of its down part (mu_k) joined with that of its up part (mu_{k+1}), so
+    the first nonzero eigenvalue is min(mu_k, mu_{k+1}); each mu_j comes from
+    the pencil solve of :func:`_smallest_nonzero`.  None where Delta_k has no
+    nonzero eigenvalue.  Reuses the factors and bases of
+    :func:`harmonic_basis` for the same weights.
+    """
+    _check_weights(K, w)
+    n = K.dimension
+    mu = [None] + [_smallest_nonzero(K, w, j) for j in range(1, n + 1)] + [None]
+    gaps = []
+    for k in range(n + 1):
+        nonzero = [m for m in (mu[k], mu[k + 1]) if m is not None]
+        L = abs(laplacian(K, w, k))
+        sqrt_w = np.sqrt(w.degree(k))
+        scale = float(np.max(sqrt_w * (L @ (1.0 / sqrt_w)), initial=0.0))
+        gaps.append(min(nonzero) / scale if nonzero and scale > 0 else None)
+    return tuple(gaps)
 
 
 def harmonic_projection(
@@ -382,7 +533,10 @@ def harmonic_projection(
 def hodge_decompose(
     K: SimplicialComplex, w: MetricWeights, c: Cochain, tol: float = 1e-8
 ) -> tuple[Cochain, Cochain, Cochain]:
-    """Split c = (exact) + (coexact) + (harmonic), pairwise w-orthogonal."""
+    """Split c = (exact) + (coexact) + (harmonic), pairwise w-orthogonal.
+
+    The exact part is the W_k-orthogonal projection onto im d_{k-1}, solved
+    with the same factor of N_k that builds the harmonic basis."""
     k = c.degree
     if not 0 <= k <= K.dimension:
         raise ValueError(f"degree {k} out of range 0..{K.dimension}")
@@ -390,17 +544,13 @@ def hodge_decompose(
     values = np.asarray(c.values, dtype=np.float64)
     h = harmonic_projection(K, w, Cochain(k, values)).values
 
-    sqrt_w = np.sqrt(w.degree(k))
-    y = sqrt_w * (values - h)
-    if k > 0:
-        _, down = _sym_factors(K, w, k)
-        if down.shape[1] and down.shape[0] <= DENSE_EIGEN_LIMIT:
-            z, *_ = np.linalg.lstsq(down.toarray(), y, rcond=None)
-        else:
-            z = spla.lsmr(down, y, atol=1e-13, btol=1e-13)[0]
-        exact = (down @ z) / sqrt_w
-    else:
+    ops = _operators(K)
+    factor = _normal_factor(ops, k, w.degree(k))
+    if factor is None:
         exact = np.zeros_like(values)
+    else:
+        D = ops.exact_span[k]
+        exact = D @ factor.solve(D.T @ (w.degree(k) * (values - h)))
     coexact = values - h - exact
 
     scale = norm(w, k, values) or 1.0

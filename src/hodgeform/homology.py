@@ -1,14 +1,20 @@
-"""Boundary operators and rational Betti numbers.
+"""Boundary operators, rational Betti numbers and integral cocycles.
 
-Ranks of the boundary operators are computed exactly over the rationals;
-that is the source of truth.  A floating singular-value rank is available as
-a fast cross-check and must agree (Betti numbers are integers and must not
-be victims of round-off).
+Ranks are computed exactly over the rationals; that is the source of truth.
+One column reduction does all exact work: the coboundaries d_0 .. d_{n-1}
+of a complex are reduced once, bottom-up with clearing (the cohomology
+reduction of de Silva, Morozov and Vejdemo-Johansson, "Dualities in
+persistent (co)homology", 2011), with the column operations tracked.  That
+gives the ranks behind the Betti numbers, integral cocycle representatives
+of every cohomology class, and an independent column set of each d_k; the
+harmonic bases in :mod:`hodgeform.hodge` are built from the last two.  A
+floating singular-value rank is available as a cross-check and must agree
+(Betti numbers are integers and must not be victims of round-off).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterable
 
@@ -20,6 +26,8 @@ from .complexes import SimplicialComplex, is_closed_pseudomanifold, orient
 
 __all__ = [
     "boundary_matrix",
+    "CohomologyReduction",
+    "cohomology_reduction",
     "betti_numbers",
     "betti_numbers_float",
     "euler_characteristic",
@@ -28,9 +36,6 @@ __all__ = [
     "floating_rank",
 ]
 
-# Exact elimination dispatch: plain dense Bareiss is competitive only for
-# small matrices; everything larger goes through the sparse column reduction.
-_DENSE_COLUMN_LIMIT = 150
 _FLOAT_RANK_RTOL = 1e-8
 
 
@@ -59,50 +64,73 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> sp.csc_matrix:
     return mat
 
 
-def _strip_content(col: dict[int, int]) -> None:
+def _strip_content(*vectors: dict[int, int] | None) -> None:
+    """Divide the vectors by the gcd of all their entries (one common factor,
+    so a relation between them survives); ``None`` entries are ignored."""
+    vectors = tuple(vec for vec in vectors if vec is not None)
     g = 0
-    for v in col.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
+    for vec in vectors:
+        for v in vec.values():
+            g = gcd(g, v)
+            if g == 1:
+                return
     if g > 1:
-        for r in col:
-            col[r] //= g
+        for vec in vectors:
+            for r in vec:
+                vec[r] //= g
 
 
-def _reduce_columns(columns: Iterable[dict[int, int] | None]):
+def _combine(x: dict[int, int], a: int, y: dict[int, int], b: int) -> dict[int, int]:
+    """a*x - b*y for sparse integer vectors, without explicit zeros."""
+    out = {r: v * a for r, v in x.items()}
+    for r, v in y.items():
+        nv = out.get(r, 0) - v * b
+        if nv:
+            out[r] = nv
+        else:
+            out.pop(r, None)
+    return out
+
+
+def _reduce_columns(columns: Iterable[dict[int, int] | None], track: bool = False):
     """Left-to-right column reduction over Q (integer arithmetic, gcd-stripped).
 
-    Returns (rank, pivot row set).  ``None`` entries are skipped.
+    ``None`` entries are skipped: the caller knows those columns depend on
+    earlier ones (clearing).  Returns ``(pivots, kernel)``: ``pivots`` maps
+    the low (largest row index) of each nonzero reduced column to that
+    column's index, so its values are an independent column set and its size
+    is the rank.  With ``track`` the column operations are recorded, and
+    ``kernel`` maps each column that reduced to zero to an integral kernel
+    vector ``{column: coefficient}`` whose largest column is that column.
     """
-    pivot_by_low: dict[int, dict[int, int]] = {}
-    rank = 0
-    for col in columns:
+    pivots: dict[int, tuple[dict[int, int], dict[int, int] | None, int]] = {}
+    kernel: dict[int, dict[int, int]] = {}
+    for j, col in enumerate(columns):
         if col is None:
             continue
+        ops = {j: 1} if track else None
         while col:
             low = max(col)
-            other = pivot_by_low.get(low)
-            if other is None:
-                _strip_content(col)
-                pivot_by_low[low] = col
-                rank += 1
+            hit = pivots.get(low)
+            if hit is None:
+                _strip_content(col, ops)
+                pivots[low] = (col, ops, j)
                 break
+            other, other_ops, _ = hit
             a, b = other[low], col[low]
             g = gcd(a, b)
             a //= g
             b //= g
-            merged = {r: v * a for r, v in col.items()}
-            for r, v in other.items():
-                nv = merged.get(r, 0) - v * b
-                if nv:
-                    merged[r] = nv
-                else:
-                    merged.pop(r, None)
-            if merged and max(abs(v) for v in merged.values()) > 1 << 62:
-                _strip_content(merged)
-            col = merged
-    return rank, set(pivot_by_low)
+            col = _combine(col, a, other, b)
+            if track:
+                ops = _combine(ops, a, other_ops, b)
+            if col and max(abs(v) for v in col.values()) > 1 << 62:
+                _strip_content(col, ops)
+        else:
+            if track:
+                _strip_content(ops)
+                kernel[j] = ops
+    return {low: j for low, (_, _, j) in pivots.items()}, kernel
 
 
 def _columns_as_dicts(mat: sp.csc_matrix) -> list[dict[int, int]]:
@@ -114,44 +142,12 @@ def _columns_as_dicts(mat: sp.csc_matrix) -> list[dict[int, int]]:
     return out
 
 
-def _dense_rank_bareiss(mat: sp.csc_matrix) -> int:
-    """Fraction-free elimination with exact integers (small matrices only).
-
-    Every row of the active submatrix is updated at every step; the division
-    by the previous pivot is exact only under that discipline.
-    """
-    m = [[int(x) for x in row] for row in mat.toarray()]
-    rows, cols = len(m), len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        pivot_row = next((r for r in range(rank, rows) if m[r][c]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        p = m[rank][c]
-        row_p = m[rank]
-        for r in range(rank + 1, rows):
-            row_r = m[r]
-            f = row_r[c]
-            for cc in range(c + 1, cols):
-                row_r[cc] = (row_r[cc] * p - f * row_p[cc]) // prev
-            row_r[c] = 0
-        prev = p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def exact_rank(mat: sp.csc_matrix) -> int:
     """Rank over Q of an integer sparse matrix."""
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         return 0
-    if mat.shape[1] <= _DENSE_COLUMN_LIMIT and mat.shape[0] <= _DENSE_COLUMN_LIMIT:
-        return _dense_rank_bareiss(mat)
-    rank, _ = _reduce_columns(_columns_as_dicts(mat))
-    return rank
+    pivots, _ = _reduce_columns(_columns_as_dicts(sp.csc_matrix(mat)))
+    return len(pivots)
 
 
 def floating_rank(mat: sp.csc_matrix) -> int:
@@ -164,23 +160,63 @@ def floating_rank(mat: sp.csc_matrix) -> int:
     return int(np.count_nonzero(svals > _FLOAT_RANK_RTOL * svals[0]))
 
 
-@lru_cache(maxsize=64)
-def _boundary_ranks(K: SimplicialComplex) -> tuple[int, ...]:
-    """Ranks of all boundary operators, reduced top-down with clearing.
+@dataclass(frozen=True, eq=False)
+class CohomologyReduction:
+    """The exact reduction of one complex's coboundaries d_0 .. d_{n-1}.
 
-    A pivot row of the reduced degree-(k+1) matrix marks a k-simplex whose
-    column in the degree-k matrix is a combination of earlier columns (it
-    reduces to zero), so those columns are skipped.
+    ``ranks[k]`` is the rank of d_{k-1} (equivalently of the boundary
+    operator in degree k), with ``ranks[0] = ranks[n+1] = 0``.
+    ``cocycles[k]`` is an f_k x b_k integer matrix whose columns are cocycles
+    (d_k X = 0 exactly) representing a basis of H^k(K; Q), in class order:
+    by the index of each column's last nonzero simplex.
+    ``independent[k]`` lists, in increasing order, the k-simplices whose
+    columns of d_k form a basis of its column space.  ``coboundaries[k]`` is
+    the integer matrix d_k that was reduced (k < n).
     """
+
+    ranks: tuple[int, ...]
+    cocycles: tuple[np.ndarray, ...]
+    independent: tuple[np.ndarray, ...]
+    coboundaries: tuple[sp.csc_matrix, ...]
+
+
+def _reduce_complex(K: SimplicialComplex) -> CohomologyReduction:
+    # Bottom-up with clearing: a low of the reduced d_{k-1} is a k-simplex
+    # whose column in d_k is a combination of earlier columns (the reduced
+    # column is a coboundary, hence a cocycle, ending at that simplex), so
+    # that column is skipped.  The columns of d_k that reduce to zero
+    # without being cleared are the essential classes of degree k.
     n = K.dimension
     ranks = [0] * (n + 2)
+    cocycles, independent = [], []
+    coboundaries = tuple(boundary_matrix(K, k + 1).T.tocsc() for k in range(n))
     cleared: set[int] = set()
-    for k in range(n, 0, -1):
-        cols = _columns_as_dicts(boundary_matrix(K, k))
+    for k in range(n + 1):
+        m = K.simplex_count(k)
+        if k < n:
+            cols = _columns_as_dicts(coboundaries[k])
+        else:
+            cols = [{} for _ in range(m)]
         for j in cleared:
             cols[j] = None
-        ranks[k], cleared = _reduce_columns(cols)
-    return tuple(ranks)
+        pivots, kernel = _reduce_columns(cols, track=True)
+        ranks[k + 1] = len(pivots) if k < n else 0
+        X = np.zeros((m, len(kernel)), dtype=np.int64)
+        for c, j in enumerate(sorted(kernel)):
+            for r, v in kernel[j].items():
+                X[r, c] = v
+        cocycles.append(X)
+        independent.append(np.array(sorted(pivots.values()), dtype=np.int64))
+        cleared = set(pivots)
+    return CohomologyReduction(
+        tuple(ranks), tuple(cocycles), tuple(independent), coboundaries
+    )
+
+
+def cohomology_reduction(K: SimplicialComplex) -> CohomologyReduction:
+    """Ranks, integral cocycle representatives and independent column sets
+    of every coboundary of K, from one exact reduction kept with K."""
+    return K.derived("cohomology_reduction", _reduce_complex)
 
 
 def betti_numbers(K: SimplicialComplex, method: str = "exact") -> tuple[int, ...]:
@@ -192,7 +228,7 @@ def betti_numbers(K: SimplicialComplex, method: str = "exact") -> tuple[int, ...
     """
     n = K.dimension
     if method == "exact":
-        ranks = _boundary_ranks(K)
+        ranks = cohomology_reduction(K).ranks
     elif method == "float":
         ranks = tuple(
             [0] + [floating_rank(boundary_matrix(K, k)) for k in range(1, n + 1)] + [0]

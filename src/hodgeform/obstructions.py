@@ -311,10 +311,11 @@ def classify_symmetric_model(s: CohomologySummary) -> str | None:
 
 
 def summarize(
-    K: SimplicialComplex, w: MetricWeights | None = None
+    K: SimplicialComplex, w: MetricWeights | None = None, tol: float = 1e-9
 ) -> CohomologySummary:
     """Assemble the summary of a closed oriented complex, including middle
-    data when the dimension is a multiple of four."""
+    data when the dimension is a multiple of four (from the intersection
+    form over harmonic bases certified to ``tol``)."""
     if not is_closed_pseudomanifold(K):
         raise ValueError("summaries require a closed pseudomanifold")
     if orient(K) is None:
@@ -323,7 +324,7 @@ def summarize(
     betti = betti_numbers(K)
     b_plus = b_minus = None
     if n > 0 and n % 4 == 0:
-        form = intersection_form(K, w if w is not None else unit_weights(K))
+        form = intersection_form(K, w if w is not None else unit_weights(K), tol)
         b_plus, b_minus = form.b_plus, form.b_minus
     return CohomologySummary(
         dimension=n,

@@ -261,3 +261,52 @@ def test_invalid_seed_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["search", complex_path, "--seed", "pi", "-o", tmp_path / "w.json"])
     assert exc.value.code == 2
+
+
+def test_search_rejects_weights_file_without_init_file(tmp_path):
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    weights_path = tmp_path / "w.json"
+    weights_path.write_text(
+        json.dumps({"weights": [[2.0] * 9, [0.5] * 27, [1.0] * 18]})
+    )
+    out = tmp_path / "best.json"
+    for init in ("unit", "random"):
+        args = ["search", complex_path, "--init", init, "--weights", weights_path]
+        assert run([*args, "-o", out]) == 2, init
+    assert not out.exists()
+
+
+def test_search_init_file_requires_weights(tmp_path):
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    out = tmp_path / "best.json"
+    assert run(["search", complex_path, "--init", "file", "-o", out]) == 2
+    assert not out.exists()
+
+
+def test_analyze_tolerance_reaches_obstructions(tmp_path):
+    complex_path = tmp_path / "s2s2.json"
+    run(["generate", "product:sphere:2,sphere:2", "-o", complex_path])
+    report_path = tmp_path / "report.json"
+    args = ["analyze", complex_path, "--obstructions", "-o", report_path]
+    assert run([*args, "--tolerance", "10"]) == 3
+    assert "obstructions" in json.loads(report_path.read_text())["errors"]
+    assert run([*args, "--tolerance", "1e-6"]) == 0
+
+
+def test_analyze_checks_topology_once(tmp_path, monkeypatch):
+    from hodgeform import complexes
+
+    complex_path = tmp_path / "s2s2.json"
+    run(["generate", "product:sphere:2,sphere:2", "-o", complex_path])
+    calls = []
+    original = complexes._ridge_incidence
+
+    def counted(K):
+        calls.append(K)
+        return original(K)
+
+    monkeypatch.setattr(complexes, "_ridge_incidence", counted)
+    assert run(["analyze", complex_path, "--all", "-o", tmp_path / "r.json"]) == 0
+    assert len(calls) == 1

@@ -239,3 +239,37 @@ def test_matrix_rational_is_exact(s2xs2):
     for i, row in enumerate(strings):
         for j, text in enumerate(row):
             assert float(Fraction(text)) == form.matrix[i, j]
+
+
+def loop_cup(K, a, b):
+    """The front-face/back-face product, one target simplex at a time."""
+    k, l = a.degree, b.degree
+    return [
+        a.values[K.index_of(s[: k + 1], k)] * b.values[K.index_of(s[k:], l)]
+        for s in K.simplices(k + l)
+    ]
+
+
+def test_cup_matches_loop_oracle(small_zoo):
+    from fractions import Fraction
+
+    rng = np.random.default_rng(31)
+    for name, K in small_zoo.items():
+        n = K.dimension
+        for k in range(n + 1):
+            for l in range(n + 1 - k):
+                fk, fl = K.simplex_count(k), K.simplex_count(l)
+                a = Cochain(k, rng.standard_normal(fk))
+                b = Cochain(l, rng.standard_normal(fl))
+                got = cup(K, a, b).values
+                assert got.dtype == np.float64, (name, k, l)
+                assert np.array_equal(got, np.array(loop_cup(K, a, b))), (name, k, l)
+
+                fa = np.empty(fk, dtype=object)
+                fa[:] = [Fraction(int(x), 7) for x in rng.integers(-5, 6, fk)]
+                fb = np.empty(fl, dtype=object)
+                fb[:] = [int(x) for x in rng.integers(-5, 6, fl)]
+                exact = cup(K, Cochain(k, fa), Cochain(l, fb)).values
+                assert exact.dtype == object, (name, k, l)
+                assert list(exact) == loop_cup(K, Cochain(k, fa), Cochain(l, fb))
+                assert all(isinstance(x, Fraction) for x in exact), (name, k, l)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hodgeform.complexes import Cochain, build_complex, sphere, torus
+from hodgeform.complexes import Cochain, build_complex, product_complex, sphere, torus
 from hodgeform.cup import cup
 from hodgeform.formality import (
     SearchConfig,
@@ -176,6 +176,32 @@ def test_sphere_reports_exact_zero(spheres):
         report = formality_residual(K, unit_weights(K))
         assert report.aggregate == 0.0
         assert all(p.residual == 0.0 for p in report.pairs)
+
+
+def test_s2xs2_unit_weight_residuals_are_pinned():
+    # The residuals are taken over the class-order cocycle basis of each
+    # degree, so they depend on that choice of orthonormal basis; this pins
+    # them so that a change of basis construction cannot move them silently.
+    K = product_complex(sphere(2), sphere(2))
+    report = formality_residual(K, unit_weights(K))
+    got = {(p.degree_a, p.index_a, p.degree_b, p.index_b): p.residual for p in report.pairs}
+    want = {
+        (0, 0, 0, 0): 0.0,
+        (0, 0, 2, 0): 0.0,
+        (2, 0, 0, 0): 0.0,
+        (0, 0, 2, 1): 0.0,
+        (2, 1, 0, 0): 0.0,
+        (0, 0, 4, 0): 0.0,
+        (4, 0, 0, 0): 0.0,
+        (2, 0, 2, 0): 1.0,
+        (2, 0, 2, 1): 0.93009559716949,
+        (2, 1, 2, 0): 0.93009559716949,
+        (2, 1, 2, 1): 0.92810984915563,
+    }
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
+    assert report.aggregate == pytest.approx(1.0, rel=1e-12)
 
 
 def test_torus_aggregate_is_max_over_pairs(tori):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hodgeform.complexes import Cochain, build_complex, sphere, torus
+from hodgeform.complexes import (
+    Cochain,
+    SimplicialComplex,
+    build_complex,
+    sphere,
+    surface,
+    torus,
+)
 from hodgeform.errors import NumericalError
 from hodgeform.hodge import (
     MetricWeights,
@@ -13,6 +20,7 @@ from hodgeform.hodge import (
     laplacian,
     norm,
     random_weights,
+    spectral_gaps,
     unit_weights,
     weights_from_arrays,
 )
@@ -186,6 +194,98 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch, tori):
     w2 = weights_from_arrays(K, [np.full(9, 2.0), np.full(27, 0.5), np.ones(18)])
     second = harmonic_basis(K, w2, 1)
     assert np.array_equal(first.vectors, second.vectors)
+
+
+def test_disk_cache_recomputes_uncertified_files(tmp_path, monkeypatch):
+    monkeypatch.setenv("HODGEFORM_CACHE_DIR", str(tmp_path))
+    w_arrays = [np.full(9, 2.0), np.full(27, 0.5), np.ones(18)]
+    K = torus(2)
+    first = harmonic_basis(K, weights_from_arrays(K, w_arrays), 1)
+    [path] = tmp_path.glob("basis-*.npz")
+    rng = np.random.default_rng(50)
+    bad_files = {
+        "wrong vectors": lambda: np.savez(
+            path,
+            vectors=rng.standard_normal(first.vectors.shape),
+            gram_rcond=first.gram_rcond,
+        ),
+        "unreadable": lambda: path.write_bytes(b"not an npz file"),
+    }
+    for label, corrupt in bad_files.items():
+        corrupt()
+        # a fresh complex has no basis in memory, so only the file can supply one
+        fresh = torus(2)
+        with pytest.warns(UserWarning, match=path.name):
+            again = harmonic_basis(fresh, weights_from_arrays(fresh, w_arrays), 1)
+        assert np.array_equal(again.vectors, first.vectors), label
+        assert again.residual <= 1e-8, label
+        with np.load(path) as payload:
+            assert np.array_equal(payload["vectors"], first.vectors), label
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_disk_cache_does_not_trust_a_stored_gram_condition(tmp_path, monkeypatch):
+    monkeypatch.setenv("HODGEFORM_CACHE_DIR", str(tmp_path))
+    K = torus(2)
+    w_arrays = random_weights(K, 1).by_degree
+    first = harmonic_basis(K, weights_from_arrays(K, w_arrays), 1)
+    assert first.gram_rcond < 0.5
+    [path] = tmp_path.glob("basis-*.npz")
+    # correct vectors, but a condition number claiming a perfect Gram matrix
+    np.savez(path, vectors=first.vectors, gram_rcond=1.0)
+    fresh = torus(2)
+    with pytest.raises(NumericalError, match="reciprocal condition"):
+        harmonic_basis(fresh, weights_from_arrays(fresh, w_arrays), 1, tol=0.5)
+    fresh = torus(2)
+    again = harmonic_basis(fresh, weights_from_arrays(fresh, w_arrays), 1)
+    assert np.array_equal(again.vectors, first.vectors)
+    assert again.gram_rcond == pytest.approx(first.gram_rcond, rel=1e-10)
+
+
+def test_basis_depends_on_its_own_degree_weights_only(small_zoo):
+    for name, K in small_zoo.items():
+        n = K.dimension
+        w = random_weights(K, 40)
+        other = random_weights(K, 41)
+        for k in range(n + 1):
+            moved = w
+            for j in (k - 1, k + 1):
+                if 0 <= j <= n:
+                    moved = moved.replace(j, other.degree(j))
+            # a copy of the complex shares no cached basis with K
+            copy = SimplicialComplex(K.vertex_count, K.simplices_by_dim, K.name)
+            a = harmonic_basis(K, w, k).vectors
+            b = harmonic_basis(copy, moved, k).vectors
+            assert a.tobytes() == b.tobytes(), (name, k)
+
+
+def test_spectral_gaps_match_dense_oracle(small_zoo):
+    for name, K in small_zoo.items():
+        w = random_weights(K, 60)
+        betti = betti_numbers(K)
+        gaps = spectral_gaps(K, w)
+        for k in range(K.dimension + 1):
+            sqrt_w = np.sqrt(w.degree(k))
+            S = np.diag(sqrt_w) @ dense_laplacian(K, w, k) @ np.diag(1.0 / sqrt_w)
+            eigs = scipy.linalg.eigvalsh(0.5 * (S + S.T))
+            scale = np.abs(S).sum(axis=1).max()
+            if betti[k] == len(eigs):
+                assert gaps[k] is None, (name, k)
+                continue
+            want = eigs[betti[k]] / scale
+            assert abs(gaps[k] - want) <= 1e-8 * want, (name, k, gaps[k], want)
+
+
+def test_large_surface_random_weights_certify():
+    K = surface(32)
+    for seed in (0, 2, 3):
+        w = random_weights(K, seed)
+        basis = harmonic_basis(K, w, 1)
+        assert basis.cardinality == 64
+        assert basis.residual <= 1e-8, seed
+        L = laplacian(K, w, 1)
+        for x in basis.vectors.T:
+            assert norm(w, 1, L @ x) <= 1e-8 * norm(w, 1, x), seed
 
 
 # ---------------------------------------------------------------------------

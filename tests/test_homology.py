@@ -157,6 +157,45 @@ def test_boundary_degree_out_of_range(tori):
         boundary_matrix(tori[2], 3)
 
 
+def bareiss_rank(mat) -> int:
+    """Fraction-free elimination with exact integers, an oracle independent
+    of the sparse column reduction (small matrices only).
+
+    Every row of the active submatrix is updated at every step; the division
+    by the previous pivot is exact only under that discipline.
+    """
+    m = [[int(x) for x in row] for row in mat.toarray()]
+    rows, cols = len(m), len(m[0]) if m else 0
+    rank = 0
+    prev = 1
+    for c in range(cols):
+        pivot_row = next((r for r in range(rank, rows) if m[r][c]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        p = m[rank][c]
+        row_p = m[rank]
+        for r in range(rank + 1, rows):
+            row_r = m[r]
+            f = row_r[c]
+            for cc in range(c + 1, cols):
+                row_r[cc] = (row_r[cc] * p - f * row_p[cc]) // prev
+            row_r[c] = 0
+        prev = p
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def test_exact_rank_matches_bareiss_oracle(small_zoo):
+    for name, K in small_zoo.items():
+        for k in range(1, K.dimension + 1):
+            mat = boundary_matrix(K, k)
+            if max(mat.shape) <= 150:
+                assert exact_rank(mat) == bareiss_rank(mat), (name, k)
+
+
 def test_exact_rank_small_dense_path():
     # below the dense dispatch limit both paths are exercised
     rng = np.random.default_rng(3)
@@ -165,3 +204,30 @@ def test_exact_rank_small_dense_path():
     dense = rng.integers(-2, 3, size=(20, 12))
     mat = sp.csc_matrix(dense)
     assert exact_rank(mat) == int(np.linalg.matrix_rank(dense.astype(float)))
+
+
+def test_cocycle_representatives_are_integral_classes(small_zoo):
+    import scipy.sparse as sp
+
+    from hodgeform.homology import cohomology_reduction
+
+    for name, K in small_zoo.items():
+        n = K.dimension
+        red = cohomology_reduction(K)
+        betti = betti_numbers(K)
+        for k in range(n + 1):
+            X = red.cocycles[k]
+            assert X.dtype.kind == "i", (name, k)
+            assert X.shape == (K.simplex_count(k), betti[k]), (name, k)
+            if k < n:
+                d_k = boundary_matrix(K, k + 1).T.tocsc()
+                assert not (d_k @ X).any(), (name, k)
+                J = red.independent[k]
+                assert len(J) == red.ranks[k + 1] == exact_rank(d_k[:, J]), (name, k)
+            # independent modulo coboundaries: [d_{k-1} | X] gains b_k in rank
+            if k > 0:
+                d_prev = boundary_matrix(K, k).T.tocsc()
+                stacked = sp.hstack([d_prev, sp.csc_matrix(X)]).tocsc()
+                assert exact_rank(stacked) == exact_rank(d_prev) + betti[k], (name, k)
+            else:
+                assert exact_rank(sp.csc_matrix(X)) == betti[0], name
