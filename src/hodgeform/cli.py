@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -98,6 +99,16 @@ def parse_zoo_identifier(identifier: str) -> SimplicialComplex:
         a, b = (parse_zoo_identifier(p) for p in parts)
         return product_complex(a, b) if head == "product" else connected_sum(a, b)
     raise ValueError(f"unknown complex identifier {identifier!r}")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _load_weights(K: SimplicialComplex, path: str | None):
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="run the analysis pipeline on a complex file")
     a.add_argument("complex")
     a.add_argument("--weights", help="weights JSON file (default: unit weights)")
-    a.add_argument("--tolerance", type=float, default=1e-9)
+    a.add_argument("--tolerance", type=_tolerance, default=1e-9)
     for stage in _STAGES:
         a.add_argument(f"--{stage}", action="store_true")
     a.add_argument("--all", action="store_true", help="run every stage (default)")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -147,7 +148,10 @@ class Cochain:
 
 
 def _validate_facet(facet) -> tuple[int, ...]:
-    vertices = tuple(int(v) for v in facet)
+    try:
+        vertices = tuple(operator.index(v) for v in facet)
+    except TypeError:
+        raise ValueError(f"facet {facet!r} has a non-integer vertex id") from None
     if len(set(vertices)) != len(vertices):
         raise ValueError(f"facet {facet!r} repeats a vertex")
     if any(v < 0 for v in vertices):

@@ -141,6 +141,12 @@ def pair_residual(
     """
     _require_harmonic(K, w, a)
     _require_harmonic(K, w, b)
+    return _pair_residual(K, w, a, b, lambda k: harmonic_basis(K, w, k, tol))
+
+
+def _pair_residual(K, w, a, b, basis_of) -> PairResidual:
+    # a and b are trusted to be harmonic; basis_of(k) gives the degree-k
+    # harmonic basis, asked for only when the product needs a projection
     c = cup(K, a, b)
     values = np.asarray(c.values, dtype=np.float64)
     nc = norm(w, c.degree, values)
@@ -150,8 +156,7 @@ def pair_residual(
     nb = norm(w, b.degree, np.asarray(b.values, dtype=np.float64))
     if nc <= ZERO_PRODUCT_RTOL * na * nb:
         return PairResidual(0.0, True, nc)
-    basis = harmonic_basis(K, w, c.degree, tol)
-    projected = harmonic_projection(K, w, Cochain(c.degree, values), basis)
+    projected = harmonic_projection(K, w, Cochain(c.degree, values), basis_of(c.degree))
     residual = norm(w, c.degree, values - projected.values) / nc
     return PairResidual(float(residual), False, nc)
 
@@ -200,7 +205,7 @@ def formality_residual(
                     if (k, i) != (l, j):
                         orders.append((l, j, k, i, b, a))
                     for da, ia, db, ib, x, y in orders:
-                        r = _pair_residual_trusted(K, w, x, y, bases, tol)
+                        r = _pair_residual(K, w, x, y, bases.__getitem__)
                         report.pairs.append(
                             PairRecord(
                                 da, ia, db, ib, r.product_norm, r.residual,
@@ -214,22 +219,6 @@ def formality_residual(
             report.norm_constancy.append(NormRecord(k, i, variation))
     report.aggregate = max((p.residual for p in report.pairs), default=0.0)
     return report
-
-
-def _pair_residual_trusted(K, w, a, b, bases, tol) -> PairResidual:
-    # same as pair_residual but skips the harmonicity gate (basis vectors)
-    c = cup(K, a, b)
-    values = np.asarray(c.values, dtype=np.float64)
-    nc = norm(w, c.degree, values)
-    if a.degree == 0 or b.degree == 0:
-        return PairResidual(0.0, False, nc, unit_pair=True)
-    na = norm(w, a.degree, np.asarray(a.values, dtype=np.float64))
-    nb = norm(w, b.degree, np.asarray(b.values, dtype=np.float64))
-    if nc <= ZERO_PRODUCT_RTOL * na * nb:
-        return PairResidual(0.0, True, nc)
-    projected = harmonic_projection(K, w, Cochain(c.degree, values), bases[c.degree])
-    residual = norm(w, c.degree, values - projected.values) / nc
-    return PairResidual(float(residual), False, nc)
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,8 @@ scale of S_k; the analysis pipeline raises when that gap is at most ``tol``.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
-import warnings
-import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -65,10 +59,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-# Largest accepted harmonicity residual ||Delta v||_w of a unit basis vector,
-# and largest accepted entry of H^T W H - I for a basis read from disk.
+# Largest accepted harmonicity residual ||Delta v||_w of a unit basis vector.
 RESIDUAL_LIMIT = 1e-8
-GRAM_DEFECT_LIMIT = 1e-10
 # Bases kept per complex, keyed by (degree, that degree's weights).  A
 # search move changes one degree, so the other degrees hit the entries of
 # the current weights; 16 holds the current and the candidate weights of
@@ -99,7 +91,10 @@ class MetricWeights:
 
 
 def weights_from_arrays(K: SimplicialComplex, arrays) -> MetricWeights:
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    try:
+        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    except TypeError as exc:
+        raise ValueError(f"expected one list of weights per degree ({exc})") from None
     if len(arrays) != K.dimension + 1:
         raise ValueError(
             f"need {K.dimension + 1} weight vectors, got {len(arrays)}"
@@ -318,89 +313,13 @@ def _residual(ops: _Operators, w: MetricWeights, k: int, H: np.ndarray) -> float
     return float(np.max(defect / size))
 
 
-# Optional on-disk reuse of harmonic bases between runs, keyed by content
-# hash of (complex, degree, degree-k weights): the basis depends on nothing
-# else.  Enabled by pointing the HODGEFORM_CACHE_DIR environment variable at
-# a directory.  A file holds the basis vectors only; it is trusted only
-# after the same certificates a fresh basis passes, and the Gram condition
-# of the projected cocycles is recomputed from it (see _cache_load).
-def _cache_path(K: SimplicialComplex, wk: np.ndarray, k: int) -> Path | None:
-    root = os.environ.get("HODGEFORM_CACHE_DIR")
-    if not root:
-        return None
-    digest = hashlib.sha256()
-    digest.update(repr(K.f_vector).encode())
-    for facet in K.facets:
-        digest.update(np.asarray(facet, dtype=np.int64).tobytes())
-    digest.update(wk.astype(np.float64).tobytes())
-    digest.update(f"deg={k};v2".encode())
-    return Path(root) / f"basis-{digest.hexdigest()}.npz"
-
-
-def _cache_load(
-    path: Path, ops: _Operators, w: MetricWeights, k: int
-) -> _Split | None:
-    if not path.exists():
-        return None
-    try:
-        with np.load(path) as payload:
-            vectors = np.asarray(payload["vectors"], dtype=np.float64)
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        warnings.warn(f"ignoring unreadable harmonic-basis cache file {path}: {exc}")
-        return None
-    wk = w.degree(k)
-    problem = None
-    if vectors.shape != ops.cocycles[k].shape:
-        problem = f"shape {vectors.shape}, expected {ops.cocycles[k].shape}"
-    elif not np.all(np.isfinite(vectors)):
-        problem = "non-finite vectors"
-    else:
-        gram = vectors.T @ (wk[:, None] * vectors)
-        defect = float(np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0))
-        residual = _residual(ops, w, k, vectors)
-        if defect > GRAM_DEFECT_LIMIT:
-            problem = f"Gram matrix off the identity by {defect:.3e}"
-        elif residual > RESIDUAL_LIMIT:
-            problem = f"harmonicity residual {residual:.3e}"
-    if problem is not None:
-        warnings.warn(f"ignoring uncertified harmonic-basis cache file {path}: {problem}")
-        return None
-    # A certified H spans the harmonic space W-orthonormally, and the
-    # projected cocycles are the harmonic parts of the cocycles X, i.e.
-    # H C with C = H^T W X.  Their Gram matrix is therefore C^T C.
-    C = vectors.T @ (wk[:, None] * ops.cocycles[k])
-    vectors.flags.writeable = False
-    return _Split(vectors, _rcond(C.T @ C))
-
-
-def _cache_store(path: Path, split: _Split) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".basis-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, vectors=split.vectors)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        warnings.warn(f"could not write harmonic-basis cache file {path}: {exc}")
-
-
 def _split(K: SimplicialComplex, w: MetricWeights, k: int) -> _Split:
-    """The degree-k split for w_k: from memory, else from a certified disk
-    file, else built (and written to disk when the cache is enabled)."""
+    """The degree-k split for w_k: from the per-complex cache, else built."""
     ops = _operators(K)
     wk = w.degree(k)
     split = ops.cached_split(k, wk)
     if split is None:
-        path = _cache_path(K, wk, k)
-        split = None if path is None else _cache_load(path, ops, w, k)
-        if split is None:
-            split = _build_split(ops, k, wk)
-            if path is not None:
-                _cache_store(path, split)
+        split = _build_split(ops, k, wk)
         ops.remember(k, wk, split)
     return split
 
@@ -415,7 +334,7 @@ def harmonic_basis(
     cocycles has reciprocal condition at most ``tol`` or a basis vector's
     harmonicity residual exceeds RESIDUAL_LIMIT.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if not 0 <= k <= K.dimension:
         raise ValueError(f"degree {k} out of range 0..{K.dimension}")

@@ -7,19 +7,18 @@ reduction of de Silva, Morozov and Vejdemo-Johansson, "Dualities in
 persistent (co)homology", 2011), with the column operations tracked.  That
 gives the ranks behind the Betti numbers, integral cocycle representatives
 of every cohomology class, and an independent column set of each d_k; the
-harmonic bases in :mod:`hodgeform.hodge` are built from the last two.  A
-floating singular-value rank is available as a cross-check and must agree
-(Betti numbers are integers and must not be victims of round-off).
+harmonic bases in :mod:`hodgeform.hodge` are built from the last two.
+Betti numbers are integers and come from these exact ranks only, so they
+cannot be victims of round-off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .complexes import SimplicialComplex, is_closed_pseudomanifold, orient
@@ -29,14 +28,10 @@ __all__ = [
     "CohomologyReduction",
     "cohomology_reduction",
     "betti_numbers",
-    "betti_numbers_float",
     "euler_characteristic",
     "poincare_duality_check",
     "exact_rank",
-    "floating_rank",
 ]
-
-_FLOAT_RANK_RTOL = 1e-8
 
 
 def boundary_matrix(K: SimplicialComplex, k: int) -> sp.csc_matrix:
@@ -150,16 +145,6 @@ def exact_rank(mat: sp.csc_matrix) -> int:
     return len(pivots)
 
 
-def floating_rank(mat: sp.csc_matrix) -> int:
-    """Singular-value rank with a relative threshold, for cross-checking."""
-    if mat.shape[0] == 0 or mat.shape[1] == 0 or mat.nnz == 0:
-        return 0
-    svals = scipy.linalg.svdvals(mat.toarray().astype(np.float64))
-    if svals.size == 0:
-        return 0
-    return int(np.count_nonzero(svals > _FLOAT_RANK_RTOL * svals[0]))
-
-
 @dataclass(frozen=True, eq=False)
 class CohomologyReduction:
     """The exact reduction of one complex's coboundaries d_0 .. d_{n-1}.
@@ -219,28 +204,12 @@ def cohomology_reduction(K: SimplicialComplex) -> CohomologyReduction:
     return K.derived("cohomology_reduction", _reduce_complex)
 
 
-def betti_numbers(K: SimplicialComplex, method: str = "exact") -> tuple[int, ...]:
-    """Rational Betti vector b_0..b_n.
-
-    ``method="exact"`` (default) uses fraction-free elimination;
-    ``method="float"`` uses SVD ranks and exists as the fast path that the
-    test suite pins against the exact one.
-    """
-    n = K.dimension
-    if method == "exact":
-        ranks = cohomology_reduction(K).ranks
-    elif method == "float":
-        ranks = tuple(
-            [0] + [floating_rank(boundary_matrix(K, k)) for k in range(1, n + 1)] + [0]
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+def betti_numbers(K: SimplicialComplex) -> tuple[int, ...]:
+    """Rational Betti vector b_0..b_n, from the exact ranks of
+    :func:`cohomology_reduction`."""
+    ranks = cohomology_reduction(K).ranks
     f = K.f_vector
-    return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(n + 1))
-
-
-def betti_numbers_float(K: SimplicialComplex) -> tuple[int, ...]:
-    return betti_numbers(K, method="float")
+    return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(K.dimension + 1))
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
@@ -256,8 +225,3 @@ def poincare_duality_check(K: SimplicialComplex) -> bool:
         raise ValueError("duality check requires an orientable complex")
     b = betti_numbers(K)
     return b == b[::-1]
-
-
-def torus_betti_bound(n: int, k: int) -> int:
-    """The degree-k bound attained by the n-torus: C(n, k)."""
-    return comb(n, k)

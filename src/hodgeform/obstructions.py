@@ -366,12 +366,17 @@ def load_summary(path) -> CohomologySummary:
         raise ValueError(f"{path}: summary needs 'dimension' and 'betti'") from exc
     b_plus = payload.get("b_plus")
     b_minus = payload.get("b_minus")
+    try:
+        b_plus = None if b_plus is None else int(b_plus)
+        b_minus = None if b_minus is None else int(b_minus)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: 'b_plus' and 'b_minus' must be integers") from exc
     return CohomologySummary(
         dimension=dimension,
         betti=betti,
         orientable=bool(payload.get("orientable", True)),
-        b_plus=None if b_plus is None else int(b_plus),
-        b_minus=None if b_minus is None else int(b_minus),
+        b_plus=b_plus,
+        b_minus=b_minus,
         name=str(payload.get("name", "")),
         source="user-supplied",
     )

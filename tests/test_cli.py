@@ -132,6 +132,24 @@ def test_analyze_with_weights_file(tmp_path):
     assert dims == [1, 2, 1]
 
 
+def test_analyze_rejects_schema_invalid_weights(tmp_path):
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    weights_path = tmp_path / "w.json"
+    for weights in (None, 5):
+        weights_path.write_text(json.dumps({"weights": weights}))
+        assert run(["analyze", complex_path, "--weights", weights_path]) == 2, weights
+
+
+def test_analyze_tolerance_must_be_finite_and_positive(tmp_path):
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    for tol in ("0", "-1", "nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", complex_path, "--betti", f"--tolerance={tol}"])
+        assert exc.value.code == 2, tol
+
+
 def test_analyze_stage_error_exit_code(tmp_path, rp2):
     # obstruction stage needs an orientable complex; the failure lands in the
     # report and flips the exit code to the numerical-failure value
@@ -187,6 +205,9 @@ def test_check_first_betti_gap(tmp_path):
 def test_check_rejects_schema_violation(tmp_path):
     summary = tmp_path / "bad.json"
     summary.write_text(json.dumps({"dimension": 4}))
+    assert run(["check", summary]) == 2
+    bad_form = {"dimension": 4, "betti": [1, 0, 2, 0, 1], "b_plus": [1], "b_minus": 1}
+    summary.write_text(json.dumps(bad_form))
     assert run(["check", summary]) == 2
 
 

@@ -298,6 +298,10 @@ def test_loader_rejects_bad_payloads(tmp_path):
     bad.write_text(json.dumps({"name": "x", "facets": "nope"}))
     with pytest.raises(ValueError):
         load_complex(bad)
+    for vertex in (None, [1], 1.5):
+        bad.write_text(json.dumps({"name": "x", "facets": [[0, 1, vertex]]}))
+        with pytest.raises(ValueError):
+            load_complex(bad)
 
 
 def test_bundled_projective_plane_loads(rp2):

@@ -204,6 +204,22 @@ def test_s2xs2_unit_weight_residuals_are_pinned():
     assert report.aggregate == pytest.approx(1.0, rel=1e-12)
 
 
+def test_report_records_equal_pair_residual_bitwise(tori, surfaces):
+    # formality_residual and pair_residual share one routine; only the
+    # harmonicity gate on the inputs differs
+    for K in (tori[2], surfaces[2]):
+        w = random_weights(K, 7)
+        report = formality_residual(K, w)
+        bases = {k: harmonic_basis(K, w, k).vectors for k in range(K.dimension + 1)}
+        for p in report.pairs:
+            a = Cochain(p.degree_a, bases[p.degree_a][:, p.index_a])
+            b = Cochain(p.degree_b, bases[p.degree_b][:, p.index_b])
+            r = pair_residual(K, w, a, b)
+            got = (p.residual, p.product_norm, p.zero_product, p.unit_pair)
+            want = (r.residual, r.product_norm, r.zero_product, r.unit_pair)
+            assert got == want, (K.name, p.to_dict())
+
+
 def test_torus_aggregate_is_max_over_pairs(tori):
     K = tori[2]
     report = formality_residual(K, unit_weights(K))

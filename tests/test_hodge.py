@@ -8,7 +8,6 @@ from hodgeform.complexes import (
     build_complex,
     sphere,
     surface,
-    torus,
 )
 from hodgeform.errors import NumericalError
 from hodgeform.hodge import (
@@ -180,66 +179,9 @@ def test_absurd_tolerance_fails_loudly(tori):
 
 
 def test_tolerance_must_be_positive(tori):
-    with pytest.raises(ValueError):
-        harmonic_basis(tori[2], unit_weights(tori[2]), 1, tol=0.0)
-
-
-def test_disk_cache_roundtrip(tmp_path, monkeypatch, tori):
-    monkeypatch.setenv("HODGEFORM_CACHE_DIR", str(tmp_path))
-    K = tori[2]
-    w = weights_from_arrays(K, [np.full(9, 2.0), np.full(27, 0.5), np.ones(18)])
-    first = harmonic_basis(K, w, 1)
-    assert list(tmp_path.glob("basis-*.npz"))
-    # a fresh, equal-content weight object must hit the disk cache
-    w2 = weights_from_arrays(K, [np.full(9, 2.0), np.full(27, 0.5), np.ones(18)])
-    second = harmonic_basis(K, w2, 1)
-    assert np.array_equal(first.vectors, second.vectors)
-
-
-def test_disk_cache_recomputes_uncertified_files(tmp_path, monkeypatch):
-    monkeypatch.setenv("HODGEFORM_CACHE_DIR", str(tmp_path))
-    w_arrays = [np.full(9, 2.0), np.full(27, 0.5), np.ones(18)]
-    K = torus(2)
-    first = harmonic_basis(K, weights_from_arrays(K, w_arrays), 1)
-    [path] = tmp_path.glob("basis-*.npz")
-    rng = np.random.default_rng(50)
-    bad_files = {
-        "wrong vectors": lambda: np.savez(
-            path,
-            vectors=rng.standard_normal(first.vectors.shape),
-            gram_rcond=first.gram_rcond,
-        ),
-        "unreadable": lambda: path.write_bytes(b"not an npz file"),
-    }
-    for label, corrupt in bad_files.items():
-        corrupt()
-        # a fresh complex has no basis in memory, so only the file can supply one
-        fresh = torus(2)
-        with pytest.warns(UserWarning, match=path.name):
-            again = harmonic_basis(fresh, weights_from_arrays(fresh, w_arrays), 1)
-        assert np.array_equal(again.vectors, first.vectors), label
-        assert again.residual <= 1e-8, label
-        with np.load(path) as payload:
-            assert np.array_equal(payload["vectors"], first.vectors), label
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-
-def test_disk_cache_does_not_trust_a_stored_gram_condition(tmp_path, monkeypatch):
-    monkeypatch.setenv("HODGEFORM_CACHE_DIR", str(tmp_path))
-    K = torus(2)
-    w_arrays = random_weights(K, 1).by_degree
-    first = harmonic_basis(K, weights_from_arrays(K, w_arrays), 1)
-    assert first.gram_rcond < 0.5
-    [path] = tmp_path.glob("basis-*.npz")
-    # correct vectors, but a condition number claiming a perfect Gram matrix
-    np.savez(path, vectors=first.vectors, gram_rcond=1.0)
-    fresh = torus(2)
-    with pytest.raises(NumericalError, match="reciprocal condition"):
-        harmonic_basis(fresh, weights_from_arrays(fresh, w_arrays), 1, tol=0.5)
-    fresh = torus(2)
-    again = harmonic_basis(fresh, weights_from_arrays(fresh, w_arrays), 1)
-    assert np.array_equal(again.vectors, first.vectors)
-    assert again.gram_rcond == pytest.approx(first.gram_rcond, rel=1e-10)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            harmonic_basis(tori[2], unit_weights(tori[2]), 1, tol=tol)
 
 
 def test_basis_depends_on_its_own_degree_weights_only(small_zoo):
