@@ -90,9 +90,11 @@ class SimplicialComplex:
     def derived(self, key: str, build):
         """``build(self)``, computed on first use and kept with the complex.
 
-        Results that depend on the complex alone (the exact reduction, the
-        coboundary operators, cup-product index arrays) live here, so each
-        is built once per complex and dropped with it.
+        Results that depend on the complex alone live here, so each is
+        built once per complex and dropped with it: the face index arrays
+        of :meth:`faces`, the ridge incidence and orientation, the exact
+        reduction with its coboundary operators, and the vertex incidence
+        used by the localized norms.
         """
         try:
             return self._derived[key]
@@ -104,21 +106,22 @@ class SimplicialComplex:
         """Index of a k-simplex in the degree-k list."""
         return self._index_maps[k][tuple(simplex)]
 
-    @cached_property
-    def _vertex_stars(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        # _vertex_stars[k][v] = indices of k-simplices containing vertex v
-        stars = []
-        for level in self.simplices_by_dim:
-            per_vertex: list[list[int]] = [[] for _ in range(self.vertex_count)]
-            for i, simplex in enumerate(level):
-                for v in simplex:
-                    per_vertex[v].append(i)
-            stars.append(tuple(tuple(ids) for ids in per_vertex))
-        return tuple(stars)
+    def faces(self, k: int, positions) -> np.ndarray:
+        """For every k-simplex, the index of its face spanned by the vertices
+        at ``positions`` (strictly increasing, within 0..k), as an int64
+        array.  Built once per complex."""
+        positions = tuple(positions)
+        if not positions or positions != tuple(sorted(set(range(k + 1)) & set(positions))):
+            raise ValueError(f"{positions} are not increasing positions in 0..{k}")
 
-    def vertex_star(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """For each vertex, the indices of the k-simplices containing it."""
-        return self._vertex_stars[k]
+        def build(K: SimplicialComplex) -> np.ndarray:
+            index = K._index_maps[len(positions) - 1]
+            keys = map(operator.itemgetter(*positions), K.simplices(k))
+            if len(positions) == 1:
+                keys = zip(keys)  # a one-item getter returns the bare vertex
+            return np.fromiter(map(index.__getitem__, keys), np.int64, K.simplex_count(k))
+
+        return self.derived(f"faces:{k}:{positions}", build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +155,8 @@ def _validate_facet(facet) -> tuple[int, ...]:
         vertices = tuple(operator.index(v) for v in facet)
     except TypeError:
         raise ValueError(f"facet {facet!r} has a non-integer vertex id") from None
+    if not vertices:
+        raise ValueError("a facet needs at least one vertex")
     if len(set(vertices)) != len(vertices):
         raise ValueError(f"facet {facet!r} repeats a vertex")
     if any(v < 0 for v in vertices):
@@ -190,14 +195,13 @@ def build_complex(facets, name: str = "") -> SimplicialComplex:
     )
 
 
-def _ridge_incidence(K: SimplicialComplex):
-    """Map each (n-1)-simplex to the list of (facet index, omitted position)."""
+def _ridge_incidence(K: SimplicialComplex) -> list[list[tuple[int, int]]]:
+    """For each (n-1)-simplex, the list of (facet index, omitted position)."""
     n = K.dimension
-    incidence: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for fi, facet in enumerate(K.facets):
-        for pos in range(n + 1):
-            ridge = facet[:pos] + facet[pos + 1 :]
-            incidence.setdefault(ridge, []).append((fi, pos))
+    ridges = [K.faces(n, (*range(p), *range(p + 1, n + 1))) for p in range(n + 1)]
+    incidence: list[list[tuple[int, int]]] = [[] for _ in K.simplices(n - 1)]
+    for t, ridge in enumerate(np.column_stack(ridges).ravel().tolist()):
+        incidence[ridge].append(divmod(t, n + 1))
     return incidence
 
 
@@ -209,11 +213,11 @@ def _closed_pseudomanifold(K: SimplicialComplex) -> bool:
     if n == 0:
         return len(facets) == 1
     incidence = K.derived("ridge_incidence", _ridge_incidence)
-    if any(len(fs) != 2 for fs in incidence.values()):
+    if any(len(fs) != 2 for fs in incidence):
         return False
     # facet adjacency connectivity
     adjacency: list[list[int]] = [[] for _ in facets]
-    for (a, _), (b, _) in incidence.values():
+    for (a, _), (b, _) in incidence:
         adjacency[a].append(b)
         adjacency[b].append(a)
     seen = {0}
@@ -241,7 +245,7 @@ def _orientation(K: SimplicialComplex) -> Orientation | None:
     stack = [0]
     # neighbor lists carrying the omitted positions on both sides
     neighbors: list[list[tuple[int, int, int]]] = [[] for _ in facets]
-    for (a, pa), (b, pb) in incidence.values():
+    for (a, pa), (b, pb) in incidence:
         neighbors[a].append((b, pa, pb))
         neighbors[b].append((a, pb, pa))
     while stack:

@@ -47,7 +47,8 @@ def cup(K: SimplicialComplex, a: Cochain, b: Cochain) -> Cochain:
         )
     if len(a.values) != K.simplex_count(k) or len(b.values) != K.simplex_count(l):
         raise ValueError("cochain lengths do not match the complex")
-    front, back = K.derived(f"cup_faces:{k},{l}", lambda K: _face_indices(K, k, l))
+    front = K.faces(k + l, range(k + 1))
+    back = K.faces(k + l, range(k, k + l + 1))
     av, bv = a.values, b.values
     if av.dtype == object or bv.dtype == object:
         # exact cochains (ints, Fractions) keep Python arithmetic
@@ -55,16 +56,6 @@ def cup(K: SimplicialComplex, a: Cochain, b: Cochain) -> Cochain:
     else:
         out = np.asarray(av, dtype=np.float64)[front] * np.asarray(bv, dtype=np.float64)[back]
     return Cochain(k + l, out)
-
-
-def _face_indices(K: SimplicialComplex, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the front k-face and the back l-face of every (k+l)-simplex."""
-    front_index = K._index_maps[k]
-    back_index = K._index_maps[l]
-    targets = K.simplices(k + l)
-    front = np.fromiter((front_index[s[: k + 1]] for s in targets), np.int64, len(targets))
-    back = np.fromiter((back_index[s[k:]] for s in targets), np.int64, len(targets))
-    return front, back
 
 
 def evaluate_on_fundamental_class(

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .complexes import Cochain, SimplicialComplex
 from .hodge import (
@@ -161,6 +162,15 @@ def _pair_residual(K, w, a, b, basis_of) -> PairResidual:
     return PairResidual(float(residual), False, nc)
 
 
+def _vertex_incidence(K: SimplicialComplex, k: int) -> sp.csc_matrix:
+    # column j marks the vertices of the j-th k-simplex
+    vertices = np.array(K.simplices(k), dtype=np.int64).reshape(-1, k + 1)
+    indptr = np.arange(0, vertices.size + 1, k + 1)
+    ones = np.ones(vertices.size)
+    shape = (K.vertex_count, len(vertices))
+    return sp.csc_matrix((ones, vertices.ravel(), indptr), shape=shape)
+
+
 def norm_constancy(K: SimplicialComplex, w: MetricWeights, a: Cochain) -> float:
     """Coefficient of variation of the localized squared norm over vertices.
 
@@ -172,14 +182,9 @@ def norm_constancy(K: SimplicialComplex, w: MetricWeights, a: Cochain) -> float:
     if not np.any(values):
         raise ValueError("norm constancy of the zero cochain is undefined")
     weights = w.degree(a.degree)
-    star = K.vertex_star(a.degree)
-    local = np.empty(K.vertex_count)
-    for v in range(K.vertex_count):
-        ids = np.fromiter(star[v], dtype=np.int64)
-        wv = weights[ids]
-        local[v] = np.dot(wv, values[ids] ** 2) / wv.sum()
-    mean = local.mean()
-    return float(local.std() / mean)
+    S = K.derived(f"vertex_incidence:{a.degree}", lambda K: _vertex_incidence(K, a.degree))
+    local = (S @ (weights * values**2)) / (S @ weights)
+    return float(local.std() / local.mean())
 
 
 def formality_residual(
@@ -235,8 +240,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
+        if not (np.isfinite(self.step_scale) and self.step_scale > 0):
+            raise ValueError("step_scale must be a finite positive number")
 
 
 def search_formal_weights(

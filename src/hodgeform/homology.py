@@ -42,19 +42,13 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> sp.csc_matrix:
     """
     if not 1 <= k <= K.dimension:
         raise ValueError(f"degree {k} out of range 1..{K.dimension}")
-    rows_of = K._index_maps[k - 1]
-    simplices = K.simplices(k)
-    data = np.empty((len(simplices), k + 1), dtype=np.int64)
-    rows = np.empty((len(simplices), k + 1), dtype=np.int64)
-    for j, s in enumerate(simplices):
-        for i in range(k + 1):
-            rows[j, i] = rows_of[s[:i] + s[i + 1 :]]
-            data[j, i] = -1 if i % 2 else 1
-    indptr = np.arange(0, (len(simplices) + 1) * (k + 1), k + 1)
-    mat = sp.csc_matrix(
-        (data.ravel(), rows.ravel(), indptr),
-        shape=(K.simplex_count(k - 1), len(simplices)),
+    m = K.simplex_count(k)
+    rows = np.column_stack(
+        [K.faces(k, (*range(i), *range(i + 1, k + 1))) for i in range(k + 1)]
     )
+    data = np.tile((-1) ** np.arange(k + 1, dtype=np.int64), m)
+    indptr = np.arange(0, (m + 1) * (k + 1), k + 1)
+    mat = sp.csc_matrix((data, rows.ravel(), indptr), shape=(K.simplex_count(k - 1), m))
     mat.sort_indices()
     return mat
 

@@ -159,9 +159,6 @@ _CITATIONS = {
     "leaving only the values 0 and 1",
 }
 
-_MIDDLE_RULES = {"R2", "R8", "R10", "R11"}
-
-
 def check_obstructions(s: CohomologySummary) -> ObstructionReport:
     """Evaluate R1-R11 on a summary; fired rules carry the instantiated
     inequality.  Pure: identical summaries yield identical reports."""
@@ -359,24 +356,33 @@ def load_summary(path) -> CohomologySummary:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    try:
-        dimension = int(payload["dimension"])
-        betti = tuple(int(x) for x in payload["betti"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: summary needs 'dimension' and 'betti'") from exc
-    b_plus = payload.get("b_plus")
-    b_minus = payload.get("b_minus")
-    try:
-        b_plus = None if b_plus is None else int(b_plus)
-        b_minus = None if b_minus is None else int(b_minus)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: 'b_plus' and 'b_minus' must be integers") from exc
+    if "dimension" not in payload or not isinstance(payload.get("betti"), list):
+        raise ValueError(f"{path}: summary needs 'dimension' and a 'betti' list")
+
+    def integer(key, value):
+        # JSON integers only: no floats, strings or booleans
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{path}: {key!r} must hold JSON integers, not {value!r}")
+        return value
+
+    dimension = integer("dimension", payload["dimension"])
+    betti = tuple(integer("betti", x) for x in payload["betti"])
+    b_plus, b_minus = (
+        None if payload.get(key) is None else integer(key, payload[key])
+        for key in ("b_plus", "b_minus")
+    )
+    orientable = payload.get("orientable", True)
+    if not isinstance(orientable, bool):
+        raise ValueError(f"{path}: 'orientable' must be true or false")
+    name = payload.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"{path}: 'name' must be a string")
     return CohomologySummary(
         dimension=dimension,
         betti=betti,
-        orientable=bool(payload.get("orientable", True)),
+        orientable=orientable,
         b_plus=b_plus,
         b_minus=b_minus,
-        name=str(payload.get("name", "")),
+        name=name,
         source="user-supplied",
     )

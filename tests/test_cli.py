@@ -209,6 +209,9 @@ def test_check_rejects_schema_violation(tmp_path):
     bad_form = {"dimension": 4, "betti": [1, 0, 2, 0, 1], "b_plus": [1], "b_minus": 1}
     summary.write_text(json.dumps(bad_form))
     assert run(["check", summary]) == 2
+    coerced = {"dimension": 2, "betti": [1, 2.7, 1], "orientable": "false"}
+    summary.write_text(json.dumps(coerced))
+    assert run(["check", summary]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,37 @@ def test_empty_facet_list_rejected():
         build_complex([])
 
 
+def test_one_vertex_complex_loads(tmp_path):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"facets": [[0]]}))
+    K = load_complex(path)
+    assert K.f_vector == (1,)
+    assert is_closed_pseudomanifold(K)
+    assert betti_numbers(K) == (1,)
+
+
+def test_faces_match_index_of_on_every_position_set(small_zoo):
+    for K in small_zoo.values():
+        for k in range(K.dimension + 1):
+            for size in range(1, k + 2):
+                for positions in itertools.combinations(range(k + 1), size):
+                    expected = [
+                        K.index_of(tuple(s[p] for p in positions), size - 1)
+                        for s in K.simplices(k)
+                    ]
+                    got = K.faces(k, positions)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == expected
+                    assert K.faces(k, list(positions)) is got
+
+
+def test_faces_rejects_bad_positions(tori):
+    K = tori[2]
+    for positions in ((), (1, 0), (0, 0), (-1, 0), (0, 3)):
+        with pytest.raises(ValueError):
+            K.faces(2, positions)
+
+
 def test_mixed_arity_rejected():
     with pytest.raises(ValueError):
         build_complex([(0, 1), (0, 1, 2)])
@@ -302,6 +333,9 @@ def test_loader_rejects_bad_payloads(tmp_path):
         bad.write_text(json.dumps({"name": "x", "facets": [[0, 1, vertex]]}))
         with pytest.raises(ValueError):
             load_complex(bad)
+    bad.write_text(json.dumps({"name": "x", "facets": [[]]}))
+    with pytest.raises(ValueError):
+        load_complex(bad)
 
 
 def test_bundled_projective_plane_loads(rp2):

@@ -161,6 +161,31 @@ def test_genus_two_one_cochains_have_nonconstant_length(surfaces):
     assert max(variations) > 1e-3
 
 
+def _norm_constancy_by_vertex(K, w, a):
+    """Per-vertex loop over the k-simplices: the localized squared norm
+    averaged with weights, then its coefficient of variation."""
+    weights = w.degree(a.degree)
+    num = np.zeros(K.vertex_count)
+    den = np.zeros(K.vertex_count)
+    for j, simplex in enumerate(K.simplices(a.degree)):
+        for v in simplex:
+            num[v] += weights[j] * a.values[j] ** 2
+            den[v] += weights[j]
+    local = num / den
+    return local.std() / local.mean()
+
+
+def test_norm_constancy_matches_per_vertex_oracle(small_zoo):
+    for name, K in small_zoo.items():
+        w = random_weights(K, np.random.default_rng(3))
+        for k in range(K.dimension + 1):
+            for a in harmonic_basis(K, w, k).cochains:
+                expected = _norm_constancy_by_vertex(K, w, a)
+                assert abs(norm_constancy(K, w, a) - expected) <= 1e-12 * max(
+                    1.0, abs(expected)
+                ), (name, k)
+
+
 def test_norm_constancy_rejects_zero(tori):
     with pytest.raises(ValueError):
         norm_constancy(tori[2], unit_weights(tori[2]), Cochain(1, np.zeros(27)))
@@ -307,6 +332,9 @@ def test_search_config_validation():
         SearchConfig(max_iterations=-1)
     with pytest.raises(ValueError):
         SearchConfig(step_scale=0.0)
+    for step in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite positive"):
+            SearchConfig(step_scale=step)
 
 
 def test_search_rejects_bad_degrees(tori):

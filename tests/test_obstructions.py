@@ -244,6 +244,8 @@ def test_load_summary_roundtrip(tmp_path):
 
 
 def test_load_summary_rejects_bad_files(tmp_path):
+    import json
+
     path = tmp_path / "bad.json"
     path.write_text("{}")
     with pytest.raises(ValueError):
@@ -251,3 +253,28 @@ def test_load_summary_rejects_bad_files(tmp_path):
     path.write_text("[not, a, summary]")
     with pytest.raises(ValueError):
         load_summary(path)
+    good = {"name": "T^2", "dimension": 2, "betti": [1, 2, 1], "orientable": True}
+    bad_fields = [
+        {"dimension": 2.0},
+        {"dimension": "2"},
+        {"dimension": True},
+        {"dimension": None},
+        {"betti": [1, 2.7, 1]},
+        {"betti": [1, "2", 1]},
+        {"betti": [1, True, 1]},
+        {"betti": "121"},
+        {"orientable": "false"},
+        {"orientable": 0},
+        {"name": 7},
+    ]
+    middle = {"dimension": 4, "betti": [1, 0, 2, 0, 1], "b_plus": 1, "b_minus": 1}
+    bad_middle = [{"b_plus": 1.0}, {"b_minus": "1"}, {"b_plus": False, "b_minus": 2}]
+    for payload in (good, {**good, **middle}):
+        path.write_text(json.dumps(payload))
+        load_summary(path)
+    payloads = [{**good, **bad} for bad in bad_fields]
+    payloads += [{**good, **middle, **bad} for bad in bad_middle]
+    for payload in payloads:
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_summary(path)
