@@ -117,7 +117,13 @@ def _load_weights(K: SimplicialComplex, path: str | None):
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or "weights" not in payload:
         raise ValueError(f"{path}: expected an object with a 'weights' key")
-    return weights_from_arrays(K, payload["weights"])
+    arrays = payload["weights"]
+    # JSON numbers only: no booleans, strings, nulls or nested lists
+    if not isinstance(arrays, list) or not all(
+        isinstance(a, list) and all(type(x) in (int, float) for x in a) for a in arrays
+    ):
+        raise ValueError(f"{path}: 'weights' must be one list of JSON numbers per degree")
+    return weights_from_arrays(K, arrays)
 
 
 def _weights_payload(w) -> dict:

@@ -92,9 +92,9 @@ class SimplicialComplex:
 
         Results that depend on the complex alone live here, so each is
         built once per complex and dropped with it: the face index arrays
-        of :meth:`faces`, the ridge incidence and orientation, the exact
-        reduction with its coboundary operators, and the vertex incidence
-        used by the localized norms.
+        of :meth:`faces`, closedness and orientation from one facet-graph
+        walk, the exact reduction with its coboundary operators, and the
+        vertex incidence used by the localized norms.
         """
         try:
             return self._derived[key]
@@ -195,72 +195,58 @@ def build_complex(facets, name: str = "") -> SimplicialComplex:
     )
 
 
-def _ridge_incidence(K: SimplicialComplex) -> list[list[tuple[int, int]]]:
-    """For each (n-1)-simplex, the list of (facet index, omitted position)."""
+def _ridge_incidence(K: SimplicialComplex) -> np.ndarray:
+    """Ridge index of every (facet, omitted position) slot: entry [f, p] is
+    the (n-1)-face of facet f without its p-th vertex."""
     n = K.dimension
-    ridges = [K.faces(n, (*range(p), *range(p + 1, n + 1))) for p in range(n + 1)]
-    incidence: list[list[tuple[int, int]]] = [[] for _ in K.simplices(n - 1)]
-    for t, ridge in enumerate(np.column_stack(ridges).ravel().tolist()):
-        incidence[ridge].append(divmod(t, n + 1))
-    return incidence
+    return np.column_stack(
+        [K.faces(n, (*range(p), *range(p + 1, n + 1))) for p in range(n + 1)]
+    )
 
 
-def _closed_pseudomanifold(K: SimplicialComplex) -> bool:
+def _facet_graph(K: SimplicialComplex) -> tuple[bool, Orientation | None]:
+    """(closed, orientation) from one walk over the facet adjacency graph.
+
+    Closed means every ridge lies in exactly two facets and the walk from
+    facet 0 reaches every facet.  The walk gives each facet the sign that
+    cancels the induced orientation of the ridge it was reached through;
+    the orientation is None unless every ridge then cancels.
+    """
+    facet_count = len(K.facets)
     n = K.dimension
-    facets = K.facets
-    if not facets:
-        return False
-    if n == 0:
-        return len(facets) == 1
-    incidence = K.derived("ridge_incidence", _ridge_incidence)
-    if any(len(fs) != 2 for fs in incidence):
-        return False
-    # facet adjacency connectivity
-    adjacency: list[list[int]] = [[] for _ in facets]
-    for (a, _), (b, _) in incidence:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = {0}
+    if n == 0 or not facet_count:
+        closed = facet_count == 1
+        return closed, Orientation((1,)) if closed else None
+    slots = _ridge_incidence(K).ravel()
+    if np.any(np.bincount(slots, minlength=K.simplex_count(n - 1)) != 2):
+        return False, None
+    # the two slots of each ridge, as (facet, omitted position)
+    facet, pos = np.divmod(np.argsort(slots, kind="stable").reshape(-1, 2).T, n + 1)
+    # induced ridge orientations cancel: sign[f] (-1)^pf + sign[g] (-1)^pg = 0
+    flips = -((-1) ** (pos[0] + pos[1]))
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(facet_count)]
+    for f, g, flip in zip(facet[0].tolist(), facet[1].tolist(), flips.tolist()):
+        neighbours[f].append((g, flip))
+        neighbours[g].append((f, flip))
+    signs = [1] + [0] * (facet_count - 1)
     stack = [0]
     while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(facets)
+        f = stack.pop()
+        for g, flip in neighbours[f]:
+            if not signs[g]:
+                signs[g] = flip * signs[f]
+                stack.append(g)
+    if not all(signs):
+        return False, None
+    signed = np.array(signs)
+    consistent = np.array_equal(signed[facet[1]], flips * signed[facet[0]])
+    return True, Orientation(tuple(signs)) if consistent else None
 
 
 def is_closed_pseudomanifold(K: SimplicialComplex) -> bool:
     """True iff every ridge lies in exactly two facets and the facet
     adjacency graph is connected.  Computed once per complex."""
-    return K.derived("closed_pseudomanifold", _closed_pseudomanifold)
-
-
-def _orientation(K: SimplicialComplex) -> Orientation | None:
-    facets = K.facets
-    if K.dimension == 0:
-        return Orientation((1,))
-    incidence = K.derived("ridge_incidence", _ridge_incidence)
-    signs: dict[int, int] = {0: 1}
-    stack = [0]
-    # neighbor lists carrying the omitted positions on both sides
-    neighbors: list[list[tuple[int, int, int]]] = [[] for _ in facets]
-    for (a, pa), (b, pb) in incidence:
-        neighbors[a].append((b, pa, pb))
-        neighbors[b].append((a, pb, pa))
-    while stack:
-        f = stack.pop()
-        for g, pf, pg in neighbors[f]:
-            # induced ridge orientations must cancel:
-            # signs[f] * (-1)^pf + signs[g] * (-1)^pg == 0
-            required = -signs[f] * (-1) ** pf * (-1) ** pg
-            if g in signs:
-                if signs[g] != required:
-                    return None
-            else:
-                signs[g] = required
-                stack.append(g)
-    return Orientation(tuple(signs[i] for i in range(len(facets))))
+    return K.derived("facet_graph", _facet_graph)[0]
 
 
 def orient(K: SimplicialComplex) -> Orientation | None:
@@ -270,9 +256,10 @@ def orient(K: SimplicialComplex) -> Orientation | None:
     The facet with the lexicographically smallest vertex tuple gets +1, so
     the result is deterministic.  Computed once per complex.
     """
-    if not is_closed_pseudomanifold(K):
+    closed, orientation = K.derived("facet_graph", _facet_graph)
+    if not closed:
         raise ValueError("orient requires a closed pseudomanifold")
-    return K.derived("orientation", _orientation)
+    return orientation
 
 
 def product_complex(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:

@@ -7,7 +7,9 @@ For harmonic cochains a, b the probe measures
 where P_H is the w-orthogonal projection onto the harmonic subspace of the
 target degree.  Residual 0 for every basis pair means the weight choice is
 discretely formal for the tested basis; bilinearity reduces the quantifier
-over all harmonic cochains to basis pairs.  Products that vanish identically
+over all harmonic cochains to basis pairs.  The report records every
+ordered basis pair whose degrees sum to at most dim K, sorted by
+(degree_a, degree_b, index_a, index_b).  Products that vanish identically
 are flagged instead of divided by zero.
 
 Pairs involving a degree-0 harmonic cochain are resolved exactly: on a
@@ -22,7 +24,7 @@ possible follow-up, not implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,6 +55,11 @@ __all__ = [
 ZERO_PRODUCT_RTOL = 1e-12
 FORMAL_AGGREGATE_THRESHOLD = 1e-8
 _HARMONIC_GATE = 1e-7
+# The aggregate lies in [0, 1]; evaluations that are equal algebraically
+# differ by a few ulps, so the search counts only larger drops as progress.
+_ROUND_OFF = 1e-12
+# The search stops once a sweep without improvement halves the step below this.
+_MIN_STEP = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,27 +81,12 @@ class PairRecord:
     zero_product: bool
     unit_pair: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "degree_a": self.degree_a,
-            "index_a": self.index_a,
-            "degree_b": self.degree_b,
-            "index_b": self.index_b,
-            "product_norm": self.product_norm,
-            "residual": self.residual,
-            "zero_product": self.zero_product,
-            "unit_pair": self.unit_pair,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class NormRecord:
     degree: int
     index: int
     variation: float
-
-    def to_dict(self) -> dict:
-        return {"degree": self.degree, "index": self.index, "variation": self.variation}
 
 
 @dataclass(eq=False)
@@ -105,12 +97,7 @@ class FormalityReport:
     norm_constancy: list[NormRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "aggregate": self.aggregate,
-            "tolerance": self.tolerance,
-            "pairs": [p.to_dict() for p in self.pairs],
-            "norm_constancy": [r.to_dict() for r in self.norm_constancy],
-        }
+        return asdict(self)
 
 
 def _require_harmonic(K, w, c: Cochain) -> None:
@@ -132,7 +119,6 @@ def pair_residual(
     w: MetricWeights,
     a: Cochain,
     b: Cochain,
-    tol: float = 1e-9,
 ) -> PairResidual:
     """Residual of the cup product of two harmonic cochains.
 
@@ -142,7 +128,7 @@ def pair_residual(
     """
     _require_harmonic(K, w, a)
     _require_harmonic(K, w, b)
-    return _pair_residual(K, w, a, b, lambda k: harmonic_basis(K, w, k, tol))
+    return _pair_residual(K, w, a, b, lambda k: harmonic_basis(K, w, k))
 
 
 def _pair_residual(K, w, a, b, basis_of) -> PairResidual:
@@ -190,38 +176,26 @@ def norm_constancy(K: SimplicialComplex, w: MetricWeights, a: Cochain) -> float:
 def formality_residual(
     K: SimplicialComplex, w: MetricWeights, tol: float = 1e-9
 ) -> FormalityReport:
-    """Evaluate all degree-compatible harmonic basis pairs and norm scores.
+    """Evaluate every ordered harmonic basis pair ((k, i), (l, j)) with
+    k + l <= dim K, and the norm constancy of every basis cochain.
 
-    Both orders of each unordered pair are recorded (the cochain product is
-    not commutative); the aggregate is the maximum residual over records.
+    Both orders of a pair are recorded, since the cochain product is not
+    commutative.  Pair records are sorted by (degree_a, degree_b, index_a,
+    index_b), norm records by (degree, index); the aggregate is the maximum
+    residual over the pair records.
     """
     n = K.dimension
-    bases = {k: harmonic_basis(K, w, k, tol) for k in range(n + 1)}
+    bases = [harmonic_basis(K, w, k, tol) for k in range(n + 1)]
+    cochains = [basis.cochains for basis in bases]
     report = FormalityReport(aggregate=0.0, tolerance=tol)
     for k in range(n + 1):
-        for l in range(k, n + 1 - k):
-            bk, bl = bases[k], bases[l]
-            for i in range(bk.cardinality):
-                j_start = i if k == l else 0
-                for j in range(j_start, bl.cardinality):
-                    a = Cochain(k, bk.vectors[:, i])
-                    b = Cochain(l, bl.vectors[:, j])
-                    orders = [(k, i, l, j, a, b)]
-                    if (k, i) != (l, j):
-                        orders.append((l, j, k, i, b, a))
-                    for da, ia, db, ib, x, y in orders:
-                        r = _pair_residual(K, w, x, y, bases.__getitem__)
-                        report.pairs.append(
-                            PairRecord(
-                                da, ia, db, ib, r.product_norm, r.residual,
-                                r.zero_product, r.unit_pair,
-                            )
-                        )
-    for k in range(n + 1):
-        bk = bases[k]
-        for i in range(bk.cardinality):
-            variation = norm_constancy(K, w, Cochain(k, bk.vectors[:, i]))
-            report.norm_constancy.append(NormRecord(k, i, variation))
+        for i, a in enumerate(cochains[k]):
+            report.norm_constancy.append(NormRecord(k, i, norm_constancy(K, w, a)))
+        for l in range(n + 1 - k):
+            for i, a in enumerate(cochains[k]):
+                for j, b in enumerate(cochains[l]):
+                    r = _pair_residual(K, w, a, b, bases.__getitem__)
+                    report.pairs.append(PairRecord(k, i, l, j, **vars(r)))
     report.aggregate = max((p.residual for p in report.pairs), default=0.0)
     return report
 
@@ -235,7 +209,6 @@ class SearchConfig:
     step_scale: float = 0.5
     seed: int = 0
     free_degrees: tuple[int, ...] | None = None
-    min_step: float = 1e-3
 
     def __post_init__(self):
         if self.max_iterations < 0:
@@ -248,17 +221,17 @@ def search_formal_weights(
     K: SimplicialComplex,
     cfg: SearchConfig,
     initial: MetricWeights | None = None,
-    tol: float = 1e-9,
 ) -> tuple[MetricWeights, list[float]]:
     """Derivative-free coordinate descent on the aggregate residual.
 
     Multiplicative perturbations in log-weight space keep every weight
-    strictly positive; only strictly improving candidates are accepted, so
-    the returned trace is nonincreasing.  The step halves after a sweep
-    without improvement.  Deterministic for a fixed seed.
+    strictly positive; a candidate is accepted only when it lowers the
+    aggregate by more than round-off (_ROUND_OFF), so the returned trace is
+    decreasing.  The step halves after a sweep without improvement.
+    Deterministic for a fixed seed.
     """
     w = initial if initial is not None else unit_weights(K)
-    aggregate = formality_residual(K, w, tol).aggregate
+    aggregate = formality_residual(K, w).aggregate
     trace = [aggregate]
     free = (
         tuple(range(K.dimension + 1))
@@ -283,15 +256,15 @@ def search_formal_weights(
                 scaled = w.degree(k).copy()
                 scaled[i] *= float(np.exp(direction * step))
                 candidate = w.replace(k, scaled)
-                value = formality_residual(K, candidate, tol).aggregate
-                if value < aggregate:
+                value = formality_residual(K, candidate).aggregate
+                if value < aggregate - _ROUND_OFF:
                     w, aggregate = candidate, value
                     trace.append(aggregate)
                     improved = True
                     break
         if not improved:
             step *= 0.5
-            if step < cfg.min_step:
+            if step < _MIN_STEP:
                 break
         elif sweep_start - aggregate < cfg.improvement_tol:
             break

@@ -61,6 +61,9 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 # Largest accepted harmonicity residual ||Delta v||_w of a unit basis vector.
 RESIDUAL_LIMIT = 1e-8
+# Largest accepted pairwise inner product of the three Hodge parts of a
+# cochain c, relative to ||c||_w^2.
+_ORTHOGONALITY_LIMIT = 1e-8
 # Bases kept per complex, keyed by (degree, that degree's weights).  A
 # search move changes one degree, so the other degrees hit the entries of
 # the current weights; 16 holds the current and the candidate weights of
@@ -79,7 +82,7 @@ class MetricWeights:
     def __post_init__(self):
         for k, w in enumerate(self.by_degree):
             if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0)):
-                raise ValueError(f"degree-{k} weights must be strictly positive")
+                raise ValueError(f"degree-{k} weights must be finite and strictly positive")
 
     def degree(self, k: int) -> np.ndarray:
         return self.by_degree[k]
@@ -114,11 +117,11 @@ def unit_weights(K: SimplicialComplex) -> MetricWeights:
     )
 
 
-def random_weights(K, rng, low: float = 1e-2, high: float = 1e2) -> MetricWeights:
-    """Log-uniform weights in [low, high]."""
+def random_weights(K, rng) -> MetricWeights:
+    """Log-uniform weights in [1e-2, 1e2]."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    lo, hi = np.log(low), np.log(high)
+    lo, hi = np.log(1e-2), np.log(1e2)
     return MetricWeights(
         tuple(
             np.exp(rng.uniform(lo, hi, size=K.simplex_count(k)))
@@ -450,7 +453,7 @@ def harmonic_projection(
 
 
 def hodge_decompose(
-    K: SimplicialComplex, w: MetricWeights, c: Cochain, tol: float = 1e-8
+    K: SimplicialComplex, w: MetricWeights, c: Cochain
 ) -> tuple[Cochain, Cochain, Cochain]:
     """Split c = (exact) + (coexact) + (harmonic), pairwise w-orthogonal.
 
@@ -478,7 +481,7 @@ def hodge_decompose(
         abs(inner(w, k, exact, h)),
         abs(inner(w, k, coexact, h)),
     )
-    if max(checks) > tol * scale**2:
+    if max(checks) > _ORTHOGONALITY_LIMIT * scale**2:
         raise NumericalError(
             f"hodge decomposition lost orthogonality (worst {max(checks):.3e})"
         )

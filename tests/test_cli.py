@@ -136,7 +136,15 @@ def test_analyze_rejects_schema_invalid_weights(tmp_path):
     complex_path = tmp_path / "t2.json"
     run(["generate", "torus:2", "-o", complex_path])
     weights_path = tmp_path / "w.json"
-    for weights in (None, 5):
+    ones = [[1] * 9, [1] * 27, [1] * 18]  # the face counts of torus:2
+    not_numbers = [
+        [["1"] + ones[0][1:], *ones[1:]],
+        [[True] * 9, *ones[1:]],
+        [[None] + ones[0][1:], *ones[1:]],
+        [[[2]] + ones[0][1:], *ones[1:]],
+        [[float("inf")] + ones[0][1:], *ones[1:]],
+    ]
+    for weights in (None, 5, *not_numbers):
         weights_path.write_text(json.dumps({"weights": weights}))
         assert run(["analyze", complex_path, "--weights", weights_path]) == 2, weights
 

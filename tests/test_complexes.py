@@ -142,6 +142,18 @@ def test_disjoint_spheres_not_closed():
     assert not is_closed_pseudomanifold(build_complex(two))
 
 
+def test_one_dimensional_facet_graphs_not_closed():
+    # two disjoint 3-cycles: every vertex lies in two edges, but the walk
+    # from edge 0 misses half of them; a figure-eight: vertex 0 lies in four
+    two = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    eight = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]
+    for facets in (two, eight):
+        K = build_complex(facets)
+        assert not is_closed_pseudomanifold(K), facets
+        with pytest.raises(ValueError):
+            orient(K)
+
+
 def test_orient_sphere_exists(spheres):
     assert orient(spheres[2]) is not None
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -242,7 +244,23 @@ def test_report_records_equal_pair_residual_bitwise(tori, surfaces):
             r = pair_residual(K, w, a, b)
             got = (p.residual, p.product_norm, p.zero_product, p.unit_pair)
             want = (r.residual, r.product_norm, r.zero_product, r.unit_pair)
-            assert got == want, (K.name, p.to_dict())
+            assert got == want, (K.name, dataclasses.asdict(p))
+
+
+def test_report_lists_every_ordered_pair_once_in_sorted_order(tori):
+    for K in (tori[2], product_complex(sphere(2), sphere(2))):
+        report = formality_residual(K, unit_weights(K))
+        n = K.dimension
+        counts = [harmonic_basis(K, unit_weights(K), k).cardinality for k in range(n + 1)]
+        want = sorted(
+            (k, l, i, j)
+            for k in range(n + 1)
+            for l in range(n + 1 - k)
+            for i in range(counts[k])
+            for j in range(counts[l])
+        )
+        got = [(p.degree_a, p.degree_b, p.index_a, p.index_b) for p in report.pairs]
+        assert got == want, K.name
 
 
 def test_torus_aggregate_is_max_over_pairs(tori):
@@ -325,6 +343,15 @@ def test_search_keeps_weights_positive(tori):
     cfg = SearchConfig(max_iterations=1, seed=5)
     weights, _ = search_formal_weights(K, cfg, random_weights(K, 5))
     assert all(np.all(arr > 0) for arr in weights.by_degree)
+
+
+def test_search_does_not_accept_round_off(tori):
+    # from these weights the only "improvement" the first sweep finds is
+    # 2.2e-16, an algebraically equal aggregate
+    K = tori[2]
+    cfg = SearchConfig(max_iterations=2, seed=1)
+    _, trace = search_formal_weights(K, cfg, random_weights(K, 1))
+    assert len(trace) == 1, trace
 
 
 def test_search_config_validation():
