@@ -197,7 +197,7 @@ def _analyze_report(K: SimplicialComplex, w, stages: set[str], tol: float) -> di
             and orientation is not None
             and poincare_duality_check(K)
         ):
-            form = intersection_form(K, w, tol)
+            form = intersection_form(K)
             payload["intersection"] = {
                 "degree": form.degree,
                 "symmetric": form.symmetric,
@@ -206,8 +206,7 @@ def _analyze_report(K: SimplicialComplex, w, stages: set[str], tol: float) -> di
                 "b_zero": form.b_zero,
                 "signature": form.signature,
                 "skew_rank": form.skew_rank,
-                "matrix": [[float(x) for x in row] for row in form.matrix],
-                "matrix_rational": form.matrix_rational(),
+                "matrix": form.matrix.tolist(),
             }
         else:
             payload["intersection"] = None
@@ -217,7 +216,7 @@ def _analyze_report(K: SimplicialComplex, w, stages: set[str], tol: float) -> di
         report["formality"] = formality_residual(K, w, tol).to_dict()
 
     def stage_obstructions():
-        summary = summarize(K, w, tol)
+        summary = summarize(K)
         payload = check_obstructions(summary).to_dict()
         payload["summary"] = summary_to_dict(summary)
         report["obstructions"] = payload
@@ -327,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-iterations", type=int, default=20)
     s.add_argument("--improvement-tol", type=float, default=1e-6)
     s.add_argument("--step", type=float, default=0.5)
-    s.add_argument("--degrees", help="comma-separated free degrees (default: all)")
+    s.add_argument("--degrees", help="comma-separated free degrees (default: 1..n)")
     s.add_argument("-o", "--output", required=True, help="best-weights JSON path")
     s.add_argument("--trace", help="CSV trace path (default: <output>.trace.csv)")
     s.set_defaults(fn=cmd_search)

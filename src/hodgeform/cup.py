@@ -8,9 +8,11 @@ taken over the global vertex order.  It is bilinear, satisfies the Leibniz
 rule with the coboundary, and is graded-commutative at cohomology level only
 (never at cochain level; callers must not assume otherwise).
 
-The middle-dimension pairing on harmonic representatives defines b+, b- and
-the signature without any discrete Hodge star: those invariants only ever
-enter through the intersection form, which this pairing reproduces.
+The intersection form is this product paired with the fundamental class on
+the middle-degree integral cocycles of the exact reduction.  It is an
+integer matrix, so b+, b-, the signature and the skew rank are read from it
+exactly: no weights, harmonic basis or eigenvalue cut enter, and a
+degenerate form is reported rather than failed.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import Cochain, Orientation, SimplicialComplex, orient
-from .errors import NumericalError
-from .hodge import MetricWeights, harmonic_basis, unit_weights
-from .homology import betti_numbers, poincare_duality_check
+from .homology import cohomology_reduction, exact_rank, poincare_duality_check
 
 __all__ = [
     "cup",
@@ -31,12 +31,6 @@ __all__ = [
     "IntersectionForm",
     "intersection_form",
 ]
-
-# |eigenvalue| below this fraction of ||Q|| counts as zero; on a complex
-# that passed the duality check, hitting it means numerics failed, not
-# topology.
-ZERO_EIGENVALUE_RTOL = 1e-8
-
 
 def cup(K: SimplicialComplex, a: Cochain, b: Cochain) -> Cochain:
     """Alexander-Whitney product of a k-cochain and an l-cochain."""
@@ -73,11 +67,13 @@ def evaluate_on_fundamental_class(
 
 @dataclass(frozen=True, eq=False)
 class IntersectionForm:
-    """Middle-degree pairing on harmonic representatives.
+    """Middle-degree pairing Q_ij = <x_i cup x_j, [K]> on integral cocycles.
 
-    For n = 4m the symmetrized matrix carries b_plus/b_minus/signature; for
-    n = 4m+2 the pairing is skew and only the rank is meaningful, so the
-    sign fields stay None.
+    ``matrix`` is an int64 array.  For n = 4m it is symmetric and carries
+    b_plus/b_minus/b_zero/signature; for n = 4m+2 it is skew and only the
+    rank is meaningful, so the sign fields stay None.  A degenerate form
+    (b_zero > 0, or skew_rank below the middle Betti number) is a fact about
+    the complex, not a numerical failure, and is reported as such.
     """
 
     degree: int
@@ -89,62 +85,61 @@ class IntersectionForm:
     signature: int | None
     skew_rank: int | None
 
-    def matrix_rational(self) -> list[list[str]]:
-        """Entries as exact fraction strings (every float is a rational)."""
-        return [[str(Fraction(float(x))) for x in row] for row in self.matrix]
+
+def _inertia(Q: np.ndarray) -> tuple[int, int]:
+    """(positive, negative) pivot counts of a symmetric integer matrix:
+    Sylvester's law of inertia, by symmetric elimination over the rationals."""
+    A = [[Fraction(int(x)) for x in row] for row in Q]
+    plus = minus = 0
+    while A:
+        p = next((i for i in range(len(A)) if A[i][i]), None)
+        if p is None:
+            # every diagonal entry is 0: adding row and column j into p
+            # puts 2 A_pj != 0 on the diagonal
+            nonzero = [(i, j) for i, row in enumerate(A) for j, x in enumerate(row) if x]
+            if not nonzero:
+                break  # what is left is the radical
+            p, j = nonzero[0]
+            for row in A:
+                row[p] += row[j]
+            A[p] = [x + y for x, y in zip(A[p], A[j])]
+        pivot_row = A.pop(p)
+        d = pivot_row.pop(p)
+        plus += d > 0
+        minus += d < 0
+        for row in A:
+            c = row.pop(p) / d
+            if c:
+                for s, x in enumerate(pivot_row):
+                    row[s] -= c * x
+    return plus, minus
 
 
-def intersection_form(
-    K: SimplicialComplex, w: MetricWeights | None = None, tol: float = 1e-9
-) -> IntersectionForm:
-    """Pairing matrix Q_ij = <[h_i cup h_j], fundamental class> over a
-    harmonic basis of the middle degree."""
-    n = K.dimension
-    if n % 2 != 0:
+def _pairing(K: SimplicialComplex) -> IntersectionForm:
+    m = K.dimension // 2
+    X = cohomology_reduction(K).cocycles[m].astype(object)
+    front = K.faces(2 * m, range(m + 1))
+    back = K.faces(2 * m, range(m, 2 * m + 1))
+    signs = np.array(orient(K).facet_signs, dtype=object)
+    # Python-int products; the int64 conversion raises rather than wraps.
+    # On cocycles the pairing is exactly (skew-)symmetric: x cup y and
+    # +-y cup x differ by a coboundary, which the fundamental class kills.
+    Q = np.array((X[front].T * signs) @ X[back], dtype=np.int64)
+    if m % 2 == 0:
+        plus, minus = _inertia(Q)
+        zero = len(Q) - plus - minus
+        return IntersectionForm(m, Q, True, plus, minus, zero, plus - minus, None)
+    return IntersectionForm(m, Q, False, None, None, None, None, exact_rank(Q))
+
+
+def intersection_form(K: SimplicialComplex) -> IntersectionForm:
+    """Pairing matrix Q_ij = <x_i cup x_j, fundamental class> over the
+    middle-degree integral cocycles of :func:`cohomology_reduction`, with
+    its exact invariants; computed once per complex."""
+    if K.dimension % 2 != 0:
         raise ValueError("intersection form needs an even-dimensional complex")
-    orientation = orient(K)
-    if orientation is None:
+    if orient(K) is None:
         raise ValueError("intersection form needs an orientable complex")
     if not poincare_duality_check(K):
         raise ValueError("intersection form requires the duality check to pass")
-    if w is None:
-        w = unit_weights(K)
-    m = n // 2
-    basis = harmonic_basis(K, w, m, tol)
-    b = basis.cardinality
-    Q = np.zeros((b, b))
-    cochains = basis.cochains
-    for i in range(b):
-        for j in range(b):
-            Q[i, j] = evaluate_on_fundamental_class(
-                K, orientation, cup(K, cochains[i], cochains[j])
-            )
-
-    if m % 2 == 0:
-        sym = 0.5 * (Q + Q.T)
-        if b == 0:
-            return IntersectionForm(m, sym, True, 0, 0, 0, 0, None)
-        eigs = np.linalg.eigvalsh(sym)
-        cut = ZERO_EIGENVALUE_RTOL * float(np.max(np.abs(eigs)))
-        plus = int(np.count_nonzero(eigs > cut))
-        minus = int(np.count_nonzero(eigs < -cut))
-        zero = b - plus - minus
-        if zero:
-            raise NumericalError(
-                f"intersection form degenerate ({zero} near-zero eigenvalues) "
-                "on a complex that passed the duality check"
-            )
-        return IntersectionForm(m, sym, True, plus, minus, zero, plus - minus, None)
-
-    skew = 0.5 * (Q - Q.T)
-    if b == 0:
-        return IntersectionForm(m, skew, False, None, None, None, None, 0)
-    svals = np.linalg.svd(skew, compute_uv=False)
-    cut = ZERO_EIGENVALUE_RTOL * float(svals[0]) if svals[0] > 0 else 0.0
-    rank = int(np.count_nonzero(svals > cut))
-    if rank != b:
-        raise NumericalError(
-            f"skew pairing has rank {rank} < b_{m} = {b} "
-            "on a complex that passed the duality check"
-        )
-    return IntersectionForm(m, skew, False, None, None, None, None, rank)
+    return K.derived("intersection_form", _pairing)

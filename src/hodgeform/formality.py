@@ -202,7 +202,8 @@ def formality_residual(
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings for the coordinate search over log-weights."""
+    """Settings for the coordinate search over log-weights.  By default the
+    free degrees are 1..n, since degree-0 weights change no residual."""
 
     max_iterations: int = 20
     improvement_tol: float = 1e-6
@@ -234,7 +235,7 @@ def search_formal_weights(
     aggregate = formality_residual(K, w).aggregate
     trace = [aggregate]
     free = (
-        tuple(range(K.dimension + 1))
+        tuple(range(1, K.dimension + 1))
         if cfg.free_degrees is None
         else tuple(cfg.free_degrees)
     )

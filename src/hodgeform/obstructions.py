@@ -33,7 +33,6 @@ from pathlib import Path
 
 from .complexes import SimplicialComplex, is_closed_pseudomanifold, orient
 from .cup import intersection_form
-from .hodge import MetricWeights, unit_weights
 from .homology import betti_numbers
 
 __all__ = [
@@ -307,12 +306,10 @@ def classify_symmetric_model(s: CohomologySummary) -> str | None:
     return None
 
 
-def summarize(
-    K: SimplicialComplex, w: MetricWeights | None = None, tol: float = 1e-9
-) -> CohomologySummary:
-    """Assemble the summary of a closed oriented complex, including middle
-    data when the dimension is a multiple of four (from the intersection
-    form over harmonic bases certified to ``tol``)."""
+def summarize(K: SimplicialComplex) -> CohomologySummary:
+    """Assemble the summary of a closed oriented complex.  In dimension 4m
+    the middle data b+, b- come exactly from the weight-free integer
+    intersection form, and are left out when that form is degenerate."""
     if not is_closed_pseudomanifold(K):
         raise ValueError("summaries require a closed pseudomanifold")
     if orient(K) is None:
@@ -321,8 +318,9 @@ def summarize(
     betti = betti_numbers(K)
     b_plus = b_minus = None
     if n > 0 and n % 4 == 0:
-        form = intersection_form(K, w if w is not None else unit_weights(K), tol)
-        b_plus, b_minus = form.b_plus, form.b_minus
+        form = intersection_form(K)
+        if form.b_zero == 0:
+            b_plus, b_minus = form.b_plus, form.b_minus
     return CohomologySummary(
         dimension=n,
         betti=betti,

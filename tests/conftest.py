@@ -1,6 +1,7 @@
 import pytest
 
 from hodgeform.complexes import (
+    build_complex,
     load_bundled_complex,
     product_complex,
     sphere,
@@ -32,6 +33,26 @@ def s2xs2(spheres):
 @pytest.fixture(scope="session")
 def rp2():
     return load_bundled_complex("projective_plane")
+
+
+@pytest.fixture(scope="session")
+def pinched_torus():
+    """S^2 as a triangular antiprism capped by two cones (12 facets), with
+    the two apexes, at distance 3, identified into vertex 0: a closed
+    orientable pseudomanifold with Betti (1, 1, 1) and a zero pairing."""
+    return build_complex(
+        [
+            (0, 1, 2), (0, 2, 3), (0, 1, 3),
+            (1, 2, 4), (2, 4, 5), (2, 3, 5), (3, 5, 6), (1, 3, 6), (1, 4, 6),
+            (0, 4, 5), (0, 5, 6), (0, 4, 6),
+        ],
+        name="pinched_torus",
+    )
+
+
+@pytest.fixture(scope="session")
+def pinched_torus_squared(pinched_torus):
+    return product_complex(pinched_torus, pinched_torus)
 
 
 @pytest.fixture(scope="session")

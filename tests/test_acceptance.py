@@ -69,17 +69,32 @@ def test_criterion_2_hodge_theorem_random_weights(zoo):
                 assert basis.residual <= 1e-8, (name, k, basis.residual)
 
 
+def exact_determinant(Q):
+    """Determinant of an integer matrix by Bareiss' fraction-free elimination."""
+    A = [[int(x) for x in row] for row in Q]
+    n, sign, previous = len(A), 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if swap is None:
+                return 0
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // previous
+        previous = A[k][k]
+    return sign * A[-1][-1] if n else 1
+
+
 @criterion("C3 intersection forms")
 def test_criterion_3_intersection_forms(s2xs2, tori):
     for K, expected in ((s2xs2, (1, 1, 0)), (tori[4], (3, 3, 0))):
         form = intersection_form(K)
         assert (form.b_plus, form.b_minus, form.signature) == expected
+        # the integer form of a closed manifold is unimodular
         assert form.b_zero == 0
-        # the zero threshold must never trigger: every eigenvalue of the
-        # symmetrized matrix clears the cut with margin
-        eigs = np.linalg.eigvalsh(form.matrix)
-        cut = 1e-8 * np.abs(eigs).max()
-        assert np.abs(eigs).min() > cut
+        assert abs(exact_determinant(form.matrix)) == 1
 
 
 @criterion("C4 obstruction corpus")

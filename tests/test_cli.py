@@ -317,14 +317,40 @@ def test_search_init_file_requires_weights(tmp_path):
     assert not out.exists()
 
 
-def test_analyze_tolerance_reaches_obstructions(tmp_path):
+def test_analyze_tolerance_certifies_bases_only(tmp_path):
     complex_path = tmp_path / "s2s2.json"
     run(["generate", "product:sphere:2,sphere:2", "-o", complex_path])
     report_path = tmp_path / "report.json"
-    args = ["analyze", complex_path, "--obstructions", "-o", report_path]
-    assert run([*args, "--tolerance", "10"]) == 3
-    assert "obstructions" in json.loads(report_path.read_text())["errors"]
-    assert run([*args, "--tolerance", "1e-6"]) == 0
+    args = ["analyze", complex_path, "--tolerance", "10", "-o", report_path]
+    # the obstructions stage is exact and takes no tolerance
+    assert run([*args, "--obstructions"]) == 0
+    summary = json.loads(report_path.read_text())["obstructions"]["summary"]
+    assert (summary["b_plus"], summary["b_minus"]) == (1, 1)
+    # the hodge stage still certifies its bases against it
+    assert run([*args, "--hodge"]) == 3
+    assert "hodge" in json.loads(report_path.read_text())["errors"]
+
+
+def test_analyze_reports_degenerate_pairing(tmp_path, pinched_torus, pinched_torus_squared):
+    from hodgeform.complexes import save_complex
+
+    cases = (
+        (pinched_torus, {"skew_rank": 0}, ["R3", "R5"], []),
+        (pinched_torus_squared, {"b_zero": 1, "b_plus": 1, "b_minus": 1}, ["R4"], ["R2", "R8"]),
+    )
+    for K, middle, fired, not_evaluated in cases:
+        complex_path = tmp_path / f"{K.name}.json"
+        save_complex(K, complex_path)
+        report_path = tmp_path / "report.json"
+        assert run(["analyze", complex_path, "--all", "-o", report_path]) == 1, K.name
+        report = json.loads(report_path.read_text())
+        assert "errors" not in report, K.name
+        form = report["hodge"]["intersection"]
+        assert {key: form[key] for key in middle} == middle, K.name
+        obstructions = report["obstructions"]
+        assert [rule["rule"] for rule in obstructions["fired"]] == fired, K.name
+        assert obstructions["not_evaluated"] == not_evaluated, K.name
+        assert "b_plus" not in obstructions["summary"], K.name
 
 
 def test_analyze_checks_topology_once(tmp_path, monkeypatch):

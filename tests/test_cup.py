@@ -4,7 +4,7 @@ import pytest
 from hodgeform.complexes import Cochain, orient, product_complex, sphere, torus
 from hodgeform.cup import cup, evaluate_on_fundamental_class, intersection_form
 from hodgeform.hodge import harmonic_basis, random_weights, unit_weights
-from hodgeform.homology import boundary_matrix
+from hodgeform.homology import boundary_matrix, cohomology_reduction
 
 
 def coboundary_of(K, c):
@@ -181,10 +181,26 @@ def test_product_of_spheres_hyperbolic_form(s2xs2):
     assert form.symmetric
 
 
-def test_intersection_form_weight_independent(s2xs2):
-    for seed in (1, 2):
-        form = intersection_form(s2xs2, random_weights(s2xs2, seed))
-        assert (form.b_plus, form.b_minus, form.signature) == (1, 1, 0)
+def test_intersection_form_weight_independent():
+    # a fresh complex per weight vector, so no result is shared through the
+    # per-complex cache
+    from hodgeform.cli import _analyze_report
+    from hodgeform.hodge import MetricWeights
+
+    def middle_data(weights_of):
+        K = product_complex(sphere(2), sphere(2))
+        report = _analyze_report(K, weights_of(K), {"hodge", "obstructions"}, 1e-9)
+        assert "errors" not in report, report["errors"]
+        return report["hodge"]["intersection"], report["obstructions"]["summary"]
+
+    expected = middle_data(unit_weights)
+    assert expected[0]["b_plus"] == expected[0]["b_minus"] == 1
+    for seed in (1, 2, 5):
+        assert middle_data(lambda K: random_weights(K, seed)) == expected, seed
+    scaled = middle_data(
+        lambda K: MetricWeights(tuple(0.25 * a for a in random_weights(K, 5).by_degree))
+    )
+    assert scaled == expected
 
 
 def test_four_torus_split_form(tori):
@@ -217,30 +233,6 @@ def test_intersection_form_requires_orientable(rp2):
         intersection_form(rp2)
 
 
-def test_signature_invariant_under_global_scaling(s2xs2):
-    from hodgeform.hodge import MetricWeights
-
-    base = random_weights(s2xs2, 5)
-    scaled = MetricWeights(tuple(0.25 * a for a in base.by_degree))
-    f1 = intersection_form(s2xs2, base)
-    f2 = intersection_form(s2xs2, scaled)
-    assert (f1.b_plus, f1.b_minus, f1.signature) == (
-        f2.b_plus,
-        f2.b_minus,
-        f2.signature,
-    )
-
-
-def test_matrix_rational_is_exact(s2xs2):
-    from fractions import Fraction
-
-    form = intersection_form(s2xs2)
-    strings = form.matrix_rational()
-    for i, row in enumerate(strings):
-        for j, text in enumerate(row):
-            assert float(Fraction(text)) == form.matrix[i, j]
-
-
 def loop_cup(K, a, b):
     """The front-face/back-face product, one target simplex at a time."""
     k, l = a.degree, b.degree
@@ -248,6 +240,28 @@ def loop_cup(K, a, b):
         a.values[K.index_of(s[: k + 1], k)] * b.values[K.index_of(s[k:], l)]
         for s in K.simplices(k + l)
     ]
+
+
+def test_matrix_is_the_integer_cup_pairing(small_zoo, pinched_torus, pinched_torus_squared):
+    degenerate = {"pinched_torus": pinched_torus, "pinched_torus_squared": pinched_torus_squared}
+    for name, K in {**small_zoo, **degenerate}.items():
+        n = K.dimension
+        if n % 2 or orient(K) is None:
+            continue
+        form = intersection_form(K)
+        Q = form.matrix
+        assert np.issubdtype(Q.dtype, np.integer), name
+        X = cohomology_reduction(K).cocycles[n // 2]
+        cocycles = [Cochain(n // 2, np.array(list(map(int, x)), dtype=object)) for x in X.T]
+        oracle = [
+            [evaluate_on_fundamental_class(K, orient(K), cup(K, x, y)) for y in cocycles]
+            for x in cocycles
+        ]
+        assert Q.tolist() == oracle, name
+        assert np.array_equal(Q, Q.T if form.symmetric else -Q.T), name
+    S2xS2 = small_zoo["product:sphere:2,sphere:2"]
+    assert intersection_form(S2xS2).matrix.tolist() == [[0, 1], [1, 0]]
+    assert intersection_form(small_zoo["torus:2"]).matrix.tolist() == [[0, -1], [1, 0]]
 
 
 def test_cup_matches_loop_oracle(small_zoo):

@@ -364,6 +364,36 @@ def test_search_config_validation():
             SearchConfig(step_scale=step)
 
 
+def test_degree_zero_weights_change_no_residual(tori, s2xs2, surfaces):
+    rng = np.random.default_rng(7)
+    for K in (tori[2], s2xs2, surfaces[2]):
+        w = random_weights(K, 0)
+        moved = w.replace(0, w.degree(0) * np.exp(rng.uniform(-2, 2, K.vertex_count)))
+        base, other = formality_residual(K, w), formality_residual(K, moved)
+        assert base.aggregate == other.aggregate, K.name
+        assert [p.residual for p in base.pairs] == [p.residual for p in other.pairs]
+
+
+def test_default_search_leaves_degree_zero_weights(tori, monkeypatch):
+    from hodgeform import formality
+
+    K = tori[2]
+    initial = random_weights(K, 4)
+    tried = []
+    original = formality.formality_residual
+
+    def recorded(K, w, *args):
+        tried.append(w)
+        return original(K, w, *args)
+
+    monkeypatch.setattr(formality, "formality_residual", recorded)
+    best, _ = search_formal_weights(K, SearchConfig(max_iterations=1, seed=4), initial)
+    # every coordinate of degrees 1 and 2, in both directions, and none of degree 0
+    assert len(tried) == 1 + 2 * (K.simplex_count(1) + K.simplex_count(2))
+    for w in (*tried, best):
+        assert np.array_equal(w.degree(0), initial.degree(0))
+
+
 def test_search_rejects_bad_degrees(tori):
     cfg = SearchConfig(free_degrees=(5,))
     with pytest.raises(ValueError):
