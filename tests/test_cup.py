@@ -181,26 +181,33 @@ def test_product_of_spheres_hyperbolic_form(s2xs2):
     assert form.symmetric
 
 
-def test_intersection_form_weight_independent():
-    # a fresh complex per weight vector, so no result is shared through the
-    # per-complex cache
+def middle_degree_report(weights_of):
+    """Intersection and obstruction summaries of the analyze report on a fresh
+    S^2 x S^2, so no result is shared through the per-complex cache."""
     from hodgeform.cli import _analyze_report
-    from hodgeform.hodge import MetricWeights
 
-    def middle_data(weights_of):
-        K = product_complex(sphere(2), sphere(2))
-        report = _analyze_report(K, weights_of(K), {"hodge", "obstructions"}, 1e-9)
-        assert "errors" not in report, report["errors"]
-        return report["hodge"]["intersection"], report["obstructions"]["summary"]
+    K = product_complex(sphere(2), sphere(2))
+    report = _analyze_report(K, weights_of(K), {"hodge", "obstructions"}, 1e-9)
+    assert "errors" not in report, report["errors"]
+    return report["hodge"]["intersection"], report["obstructions"]["summary"]
 
-    expected = middle_data(unit_weights)
+
+def test_intersection_form_weight_independent():
+    expected = middle_degree_report(unit_weights)
     assert expected[0]["b_plus"] == expected[0]["b_minus"] == 1
     for seed in (1, 2, 5):
-        assert middle_data(lambda K: random_weights(K, seed)) == expected, seed
-    scaled = middle_data(
+        assert middle_degree_report(lambda K: random_weights(K, seed)) == expected, seed
+
+
+def test_signature_invariant_under_global_scaling():
+    from hodgeform.hodge import MetricWeights
+
+    base = middle_degree_report(lambda K: random_weights(K, 5))
+    scaled = middle_degree_report(
         lambda K: MetricWeights(tuple(0.25 * a for a in random_weights(K, 5).by_degree))
     )
-    assert scaled == expected
+    assert scaled == base
+    assert (base[0]["b_plus"], base[0]["b_minus"], base[0]["signature"]) == (1, 1, 0)
 
 
 def test_four_torus_split_form(tori):
