@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from .cup import intersection_form
 from .errors import NumericalError
 from .formality import SearchConfig, formality_residual, search_formal_weights
 from .hodge import (
+    DEFAULT_TOL,
     harmonic_basis,
     random_weights,
     spectral_gaps,
@@ -189,7 +191,7 @@ def _analyze_report(K: SimplicialComplex, w, stages: set[str], tol: float) -> di
                     "spectral_gap": gap,
                 }
             )
-        payload = {"tolerance": tol, "degrees": degrees}
+        payload = {"tolerance": tol, "degrees": degrees, "intersection": None}
         if (
             n > 0
             and n % 2 == 0
@@ -198,18 +200,7 @@ def _analyze_report(K: SimplicialComplex, w, stages: set[str], tol: float) -> di
             and poincare_duality_check(K)
         ):
             form = intersection_form(K)
-            payload["intersection"] = {
-                "degree": form.degree,
-                "symmetric": form.symmetric,
-                "b_plus": form.b_plus,
-                "b_minus": form.b_minus,
-                "b_zero": form.b_zero,
-                "signature": form.signature,
-                "skew_rank": form.skew_rank,
-                "matrix": form.matrix.tolist(),
-            }
-        else:
-            payload["intersection"] = None
+            payload["intersection"] = {**asdict(form), "matrix": form.matrix.tolist()}
         report["hodge"] = payload
 
     def stage_formality():
@@ -271,8 +262,6 @@ def cmd_search(args) -> int:
         initial = _load_weights(K, args.weights)
     cfg = SearchConfig(
         max_iterations=args.max_iterations,
-        improvement_tol=args.improvement_tol,
-        step_scale=args.step,
         seed=args.seed,
         free_degrees=None
         if args.degrees is None
@@ -306,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="run the analysis pipeline on a complex file")
     a.add_argument("complex")
     a.add_argument("--weights", help="weights JSON file (default: unit weights)")
-    a.add_argument("--tolerance", type=_tolerance, default=1e-9)
+    a.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
     for stage in _STAGES:
         a.add_argument(f"--{stage}", action="store_true")
     a.add_argument("--all", action="store_true", help="run every stage (default)")
@@ -323,9 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--weights", help="initial weights file (with --init file)")
     s.add_argument("--init", choices=["unit", "random", "file"], default="unit")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--max-iterations", type=int, default=20)
-    s.add_argument("--improvement-tol", type=float, default=1e-6)
-    s.add_argument("--step", type=float, default=0.5)
+    s.add_argument("--max-iterations", type=int, default=SearchConfig.max_iterations)
     s.add_argument("--degrees", help="comma-separated free degrees (default: 1..n)")
     s.add_argument("-o", "--output", required=True, help="best-weights JSON path")
     s.add_argument("--trace", help="CSV trace path (default: <output>.trace.csv)")

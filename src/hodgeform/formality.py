@@ -31,6 +31,7 @@ import scipy.sparse as sp
 
 from .complexes import Cochain, SimplicialComplex
 from .hodge import (
+    DEFAULT_TOL,
     MetricWeights,
     harmonic_basis,
     harmonic_projection,
@@ -58,8 +59,10 @@ _HARMONIC_GATE = 1e-7
 # The aggregate lies in [0, 1]; evaluations that are equal algebraically
 # differ by a few ulps, so the search counts only larger drops as progress.
 _ROUND_OFF = 1e-12
-# The search stops once a sweep without improvement halves the step below this.
+# The search's fixed step schedule, described in search_formal_weights.
+_STEP = 0.5
 _MIN_STEP = 1e-3
+_IMPROVEMENT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +177,7 @@ def norm_constancy(K: SimplicialComplex, w: MetricWeights, a: Cochain) -> float:
 
 
 def formality_residual(
-    K: SimplicialComplex, w: MetricWeights, tol: float = 1e-9
+    K: SimplicialComplex, w: MetricWeights, tol: float = DEFAULT_TOL
 ) -> FormalityReport:
     """Evaluate every ordered harmonic basis pair ((k, i), (l, j)) with
     k + l <= dim K, and the norm constancy of every basis cochain.
@@ -202,20 +205,18 @@ def formality_residual(
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings for the coordinate search over log-weights.  By default the
-    free degrees are 1..n, since degree-0 weights change no residual."""
+    """Settings for the coordinate search over log-weights: at most
+    ``max_iterations`` sweeps, the seed of the coordinate order, and the
+    free degrees (by default 1..n, since degree-0 weights change no
+    residual).  The step schedule is fixed: see search_formal_weights."""
 
     max_iterations: int = 20
-    improvement_tol: float = 1e-6
-    step_scale: float = 0.5
     seed: int = 0
     free_degrees: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if not (np.isfinite(self.step_scale) and self.step_scale > 0):
-            raise ValueError("step_scale must be a finite positive number")
 
 
 def search_formal_weights(
@@ -228,12 +229,12 @@ def search_formal_weights(
     Multiplicative perturbations in log-weight space keep every weight
     strictly positive; a candidate is accepted only when it lowers the
     aggregate by more than round-off (_ROUND_OFF), so the returned trace is
-    decreasing.  The step halves after a sweep without improvement.
+    decreasing.  The log step starts at _STEP = 0.5 and halves after a sweep
+    without improvement; the search stops when the step falls below
+    _MIN_STEP = 1e-3 or a sweep gains less than _IMPROVEMENT_TOL = 1e-6.
+    The free degrees are checked before the first evaluation.
     Deterministic for a fixed seed.
     """
-    w = initial if initial is not None else unit_weights(K)
-    aggregate = formality_residual(K, w).aggregate
-    trace = [aggregate]
     free = (
         tuple(range(1, K.dimension + 1))
         if cfg.free_degrees is None
@@ -241,9 +242,14 @@ def search_formal_weights(
     )
     for k in free:
         if not 0 <= k <= K.dimension:
-            raise ValueError(f"free degree {k} out of range")
+            raise ValueError(f"free degree {k} out of range 0..{K.dimension}")
+    if len(set(free)) != len(free):
+        raise ValueError(f"free degrees {free} repeat a degree")
+    w = initial if initial is not None else unit_weights(K)
+    aggregate = formality_residual(K, w).aggregate
+    trace = [aggregate]
     rng = np.random.default_rng(cfg.seed)
-    step = cfg.step_scale
+    step = _STEP
 
     for _ in range(cfg.max_iterations):
         if aggregate <= FORMAL_AGGREGATE_THRESHOLD:
@@ -267,6 +273,6 @@ def search_formal_weights(
             step *= 0.5
             if step < _MIN_STEP:
                 break
-        elif sweep_start - aggregate < cfg.improvement_tol:
+        elif sweep_start - aggregate < _IMPROVEMENT_TOL:
             break
     return w, trace

@@ -27,6 +27,8 @@ when a basis vector's harmonicity residual ||Delta v||_w exceeds
 RESIDUAL_LIMIT.  :func:`spectral_gaps` reports, per degree, the first
 nonzero eigenvalue of S_k = W^{1/2} Delta_k W^{-1/2} over the Gershgorin
 scale of S_k; the analysis pipeline raises when that gap is at most ``tol``.
+The residual certificate takes no tolerance, and :func:`spectral_gaps`
+projects only with bases that pass it.
 """
 
 from __future__ import annotations
@@ -95,20 +97,11 @@ class MetricWeights:
 
 def weights_from_arrays(K: SimplicialComplex, arrays) -> MetricWeights:
     try:
-        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        w = MetricWeights(tuple(np.asarray(a, dtype=np.float64) for a in arrays))
     except TypeError as exc:
         raise ValueError(f"expected one list of weights per degree ({exc})") from None
-    if len(arrays) != K.dimension + 1:
-        raise ValueError(
-            f"need {K.dimension + 1} weight vectors, got {len(arrays)}"
-        )
-    for k, a in enumerate(arrays):
-        if a.shape != (K.simplex_count(k),):
-            raise ValueError(
-                f"degree-{k} weights have length {a.size}, "
-                f"expected {K.simplex_count(k)}"
-            )
-    return MetricWeights(tuple(arrays))
+    _check_weights(K, w)
+    return w
 
 
 def unit_weights(K: SimplicialComplex) -> MetricWeights:
@@ -132,10 +125,11 @@ def random_weights(K, rng) -> MetricWeights:
 
 def _check_weights(K: SimplicialComplex, w: MetricWeights) -> None:
     if len(w.by_degree) != K.dimension + 1:
-        raise ValueError("weights do not match the complex's dimensions")
+        raise ValueError(f"need {K.dimension + 1} weight vectors, got {len(w.by_degree)}")
     for k, a in enumerate(w.by_degree):
-        if a.shape != (K.simplex_count(k),):
-            raise ValueError(f"degree-{k} weights do not match the face count")
+        count = K.simplex_count(k)
+        if a.shape != (count,):
+            raise ValueError(f"degree-{k} weights have shape {a.shape}, expected ({count},)")
 
 
 def inner(w: MetricWeights, k: int, x: np.ndarray, y: np.ndarray) -> float:
@@ -173,18 +167,6 @@ class _Operators:
         # degree -> (w_k bytes, factor of N_k for those weights)
         self.factors: dict[int, tuple[bytes, spla.SuperLU]] = {}
 
-    def cached_split(self, k: int, wk: np.ndarray) -> _Split | None:
-        key = (k, wk.tobytes())
-        split = self.splits.get(key)
-        if split is not None:
-            self.splits.move_to_end(key)
-        return split
-
-    def remember(self, k: int, wk: np.ndarray, split: _Split) -> None:
-        self.splits[(k, wk.tobytes())] = split
-        while len(self.splits) > _SPLIT_CACHE_SIZE:
-            self.splits.popitem(last=False)
-
 
 def _operators(K: SimplicialComplex) -> _Operators:
     return K.derived("hodge_operators", _Operators)
@@ -220,13 +202,11 @@ class HarmonicBasis:
     the Betti number.  ``residual`` is the worst harmonicity defect
     ||Delta v||_w over the (unit) basis vectors, and ``gram_rcond`` the
     reciprocal condition of the Gram matrix of the projected cocycles, the
-    margin that ``tolerance`` certifies.
+    margin that the ``tol`` of :func:`harmonic_basis` certifies.
     """
 
     degree: int
     vectors: np.ndarray
-    weights: MetricWeights
-    tolerance: float
     residual: float
     gram_rcond: float
 
@@ -299,8 +279,9 @@ def _build_split(ops: _Operators, k: int, wk: np.ndarray) -> _Split:
     return _Split(H, rcond)
 
 
-def _residual(ops: _Operators, w: MetricWeights, k: int, H: np.ndarray) -> float:
-    """max_i ||Delta_k h_i||_w / ||h_i||_w without forming Delta_k."""
+def _certified_residual(ops: _Operators, w: MetricWeights, k: int, H: np.ndarray) -> float:
+    """max_i ||Delta_k h_i||_w / ||h_i||_w without forming Delta_k.  Raises
+    NumericalError above RESIDUAL_LIMIT: the certificate takes no tolerance."""
     if not H.shape[1]:
         return 0.0
     wk = w.degree(k)[:, None]
@@ -313,17 +294,27 @@ def _residual(ops: _Operators, w: MetricWeights, k: int, H: np.ndarray) -> float
         out += d @ ((d.T @ (wk * H)) / w.degree(k - 1)[:, None])
     defect = np.sqrt(np.sum(wk * out**2, axis=0))
     size = np.sqrt(np.sum(wk * H**2, axis=0))
-    return float(np.max(defect / size))
+    residual = float(np.max(defect / size))
+    if not residual <= RESIDUAL_LIMIT:
+        raise NumericalError(
+            f"degree-{k} harmonic basis has residual {residual:.3e} "
+            f"> {RESIDUAL_LIMIT:.1e}"
+        )
+    return residual
 
 
 def _split(K: SimplicialComplex, w: MetricWeights, k: int) -> _Split:
     """The degree-k split for w_k: from the per-complex cache, else built."""
     ops = _operators(K)
     wk = w.degree(k)
-    split = ops.cached_split(k, wk)
-    if split is None:
-        split = _build_split(ops, k, wk)
-        ops.remember(k, wk, split)
+    key = (k, wk.tobytes())
+    split = ops.splits.get(key)
+    if split is not None:
+        ops.splits.move_to_end(key)
+        return split
+    split = ops.splits[key] = _build_split(ops, k, wk)
+    if len(ops.splits) > _SPLIT_CACHE_SIZE:
+        ops.splits.popitem(last=False)
     return split
 
 
@@ -348,13 +339,8 @@ def harmonic_basis(
             f"degree-{k} Gram matrix has reciprocal condition "
             f"{split.gram_rcond:.3e} <= tolerance {tol:.3e}"
         )
-    residual = _residual(_operators(K), w, k, split.vectors)
-    if not residual <= RESIDUAL_LIMIT:
-        raise NumericalError(
-            f"degree-{k} harmonic basis has residual {residual:.3e} "
-            f"> {RESIDUAL_LIMIT:.1e}"
-        )
-    return HarmonicBasis(k, split.vectors, w, tol, residual, split.gram_rcond)
+    residual = _certified_residual(_operators(K), w, k, split.vectors)
+    return HarmonicBasis(k, split.vectors, residual, split.gram_rcond)
 
 
 def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float | None:
@@ -381,6 +367,7 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float |
     N_factor = _normal_factor(ops, j, wj)
     below = _normal_factor(ops, j - 1, W)
     H = _split(K, w, j - 1).vectors
+    _certified_residual(ops, w, j - 1, H)
 
     def coexact_mass(c):
         u = np.zeros(len(W))

@@ -1,9 +1,10 @@
 """Topological obstructions to geometric formality, over cohomology summaries.
 
 A summary carries dimension, orientability, the Betti vector and (when the
-dimension is a multiple of four) the middle-form data b+, b-.  The checker
-consumes summaries rather than complexes so manifolds without desk-scale
-triangulations can be fed directly from JSON files.
+dimension is a multiple of four) the middle-form data b+, b-, which only an
+orientable summary can carry.  The checker consumes summaries rather than
+complexes so manifolds without desk-scale triangulations can be fed
+directly from JSON files.
 
 Rules (all report every violation, not just the first):
 
@@ -72,6 +73,8 @@ class CohomologySummary:
         if (self.b_plus is None) != (self.b_minus is None):
             raise ValueError("b_plus and b_minus must be supplied together")
         if self.b_plus is not None:
+            if not self.orientable:
+                raise ValueError("b_plus and b_minus need an orientable manifold")
             if n % 2 != 0:
                 raise ValueError("middle-form data needs an even dimension")
             if self.b_plus < 0 or self.b_minus < 0:
@@ -269,11 +272,14 @@ def classify_symmetric_model(s: CohomologySummary) -> str | None:
     Every summary with n <= 4, b_0 = b_n = 1, a duality-symmetric Betti
     vector and full middle data that passes all rules matches exactly one
     entry; None is returned when the data is too incomplete to decide
-    (e.g. dimension 4 with b_2 > 0 but no b+/b-).
+    (e.g. dimension 4 with b_2 > 0 but no b+/b-), and for non-orientable
+    summaries, since every model is orientable.
     """
     n = s.dimension
     if n > 4:
         raise ValueError("classification covers dimensions up to 4 only")
+    if not s.orientable:
+        return None
     b = s.betti
     if n == 0:
         return "point" if b == (1,) else None

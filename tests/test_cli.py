@@ -222,6 +222,26 @@ def test_check_rejects_schema_violation(tmp_path):
     assert run(["check", summary]) == 2
 
 
+def test_check_keeps_non_orientable_summaries_apart(tmp_path):
+    summary = tmp_path / "summary.json"
+    report_path = tmp_path / "out.json"
+    # every model of the classification is orientable
+    summary.write_text(json.dumps({"dimension": 2, "betti": [1, 2, 1], "orientable": False}))
+    assert run(["check", summary, "-o", report_path]) == 0
+    assert json.loads(report_path.read_text())["model"] is None
+    # b+ and b- are not defined without an orientation
+    for plus, minus in ((1, 1), (2, 0)):
+        payload = {
+            "dimension": 4,
+            "betti": [1, 0, 2, 0, 1],
+            "orientable": False,
+            "b_plus": plus,
+            "b_minus": minus,
+        }
+        summary.write_text(json.dumps(payload))
+        assert run(["check", summary]) == 2, payload
+
+
 # ---------------------------------------------------------------------------
 # search
 

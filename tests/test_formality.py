@@ -357,11 +357,6 @@ def test_search_does_not_accept_round_off(tori):
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_iterations=-1)
-    with pytest.raises(ValueError):
-        SearchConfig(step_scale=0.0)
-    for step in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite positive"):
-            SearchConfig(step_scale=step)
 
 
 def test_degree_zero_weights_change_no_residual(tori, s2xs2, surfaces):
@@ -392,6 +387,23 @@ def test_default_search_leaves_degree_zero_weights(tori, monkeypatch):
     assert len(tried) == 1 + 2 * (K.simplex_count(1) + K.simplex_count(2))
     for w in (*tried, best):
         assert np.array_equal(w.degree(0), initial.degree(0))
+
+
+def test_search_checks_degrees_before_evaluating(tori, monkeypatch):
+    from hodgeform import formality
+
+    calls = []
+    original = formality.formality_residual
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(formality, "formality_residual", counted)
+    for degrees in ((7,), (-1,), (1, 1), (2, 1, 2)):
+        with pytest.raises(ValueError):
+            search_formal_weights(tori[2], SearchConfig(free_degrees=degrees))
+        assert calls == [], degrees
 
 
 def test_search_rejects_bad_degrees(tori):

@@ -230,6 +230,17 @@ def test_large_surface_random_weights_certify():
             assert norm(w, 1, L @ x) <= 1e-8 * norm(w, 1, x), seed
 
 
+def test_spectral_gaps_refuse_an_uncertified_basis(tori):
+    # a 1e12 weight spread leaves the degree-1 basis with residual 2.3e-7
+    K = tori[2]
+    rng = np.random.default_rng(1)
+    w = MetricWeights(tuple(10.0 ** rng.uniform(-6, 6, K.simplex_count(k)) for k in range(3)))
+    with pytest.raises(NumericalError, match="residual"):
+        harmonic_basis(K, w, 1)
+    with pytest.raises(NumericalError, match="residual"):
+        spectral_gaps(K, w)
+
+
 # ---------------------------------------------------------------------------
 # decomposition and projection
 
