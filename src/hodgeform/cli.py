@@ -9,7 +9,9 @@ All file outputs are canonical JSON (sorted keys, stable float repr), so
 reports are byte-stable across runs apart from the recorded timings.
 
 Exit codes: 0 success; 1 the analysis ran fine and found an obstructed
-verdict; 2 usage or input-schema error; 3 internal numerical failure.
+verdict; 2 usage or input-schema error; 3 internal numerical failure, or an
+``analyze`` stage that does not apply to the input (``obstructions`` on a
+non-orientable or open complex), with the stage's message under ``errors``.
 """
 
 from __future__ import annotations

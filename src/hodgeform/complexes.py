@@ -301,10 +301,11 @@ def product_complex(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialC
 def connected_sum(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
     """Remove one facet from each summand and glue the boundary spheres.
 
-    The glued bijection matches sorted vertex positions; when that choice
-    produces an inconsistent orientation, the first two positions are
-    transposed instead.  Inputs must be closed, orientable and of equal
-    dimension <= 4.
+    The glued bijection matches sorted vertex positions, and the sum is
+    built once: every glued ridge asks for the same global sign
+    -s1(f1) s2(f2) on the second summand, whose orientation is free up to
+    that sign, so the gluing always orients (RuntimeError if it does not).
+    Inputs must be closed, orientable and of equal dimension <= 4.
     """
     n = K1.dimension
     if K2.dimension != n:
@@ -319,28 +320,15 @@ def connected_sum(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialCom
 
     f1 = K1.facets[0]
     f2 = K2.facets[0]
-    rest1 = list(K1.facets[1:])
-    rest2 = list(K2.facets[1:])
     outside2 = sorted(set(range(K2.vertex_count)) - set(f2))
-    fresh = {v: K1.vertex_count + i for i, v in enumerate(outside2)}
-
-    def glue(swap_first_two: bool) -> SimplicialComplex:
-        image = list(f1)
-        if swap_first_two:
-            image[0], image[1] = image[1], image[0]
-        relabel = {v: image[i] for i, v in enumerate(f2)}
-        relabel.update(fresh)
-        glued = [tuple(sorted(relabel[v] for v in facet)) for facet in rest2]
-        name = f"connsum:{K1.name or '?'},{K2.name or '?'}"
-        return build_complex(rest1 + glued, name=name)
-
-    candidate = glue(False)
-    if orient(candidate) is not None:
-        return candidate
-    candidate = glue(True)
-    if orient(candidate) is None:
-        raise RuntimeError("neither gluing of the connected sum is orientable")
-    return candidate
+    relabel = dict(zip(f2, f1))
+    relabel.update({v: K1.vertex_count + i for i, v in enumerate(outside2)})
+    glued = [tuple(sorted(relabel[v] for v in facet)) for facet in K2.facets[1:]]
+    name = f"connsum:{K1.name or '?'},{K2.name or '?'}"
+    K = build_complex(list(K1.facets[1:]) + glued, name=name)
+    if orient(K) is None:
+        raise RuntimeError("the glued connected sum is not orientable")
+    return K
 
 
 def sphere(n: int) -> SimplicialComplex:

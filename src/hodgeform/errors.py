@@ -4,9 +4,12 @@
 class NumericalError(RuntimeError):
     """A numerical routine failed its own certificate.
 
-    Raised when a computed quantity disagrees with an exact invariant it is
-    required to reproduce (nullspace dimension vs. Betti number, degenerate
-    intersection form on a duality-passing complex, linear solve residual
-    beyond tolerance).  Distinct from ``ValueError`` so callers can map it to
-    the "internal numerical failure" exit path.
+    Raised when a computed quantity fails a certificate it is required to
+    pass: a harmonic basis whose projected cocycles are numerically
+    dependent or whose harmonicity residual is too large, a spectral gap at
+    most the tolerance (the numerical nullspace would not have dimension
+    b_k), or a Hodge decomposition that lost orthogonality.  A degenerate
+    intersection form is exact and is reported, not raised.  Distinct from
+    ``ValueError`` so callers can map it to the "internal numerical failure"
+    exit path.
     """

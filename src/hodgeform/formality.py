@@ -35,7 +35,6 @@ from .hodge import (
     MetricWeights,
     harmonic_basis,
     harmonic_projection,
-    laplacian,
     norm,
     unit_weights,
 )
@@ -55,6 +54,8 @@ __all__ = [
 
 ZERO_PRODUCT_RTOL = 1e-12
 FORMAL_AGGREGATE_THRESHOLD = 1e-8
+# Largest accepted w-distance of a pair_residual input from the certified
+# harmonic span, relative to the input's own w-norm.
 _HARMONIC_GATE = 1e-7
 # The aggregate lies in [0, 1]; evaluations that are equal algebraically
 # differ by a few ulps, so the search counts only larger drops as progress.
@@ -104,16 +105,15 @@ class FormalityReport:
 
 
 def _require_harmonic(K, w, c: Cochain) -> None:
-    n = norm(w, c.degree, np.asarray(c.values, dtype=np.float64))
+    values = np.asarray(c.values, dtype=np.float64)
+    n = norm(w, c.degree, values)
     if n == 0.0:
         raise ValueError("zero cochain is not a harmonic input")
-    L = laplacian(K, w, c.degree)
-    defect = norm(w, c.degree, L @ np.asarray(c.values, dtype=np.float64))
-    scale = float(np.abs(L).sum(axis=1).max()) if L.nnz else 1.0
-    if defect > _HARMONIC_GATE * scale * n:
+    distance = norm(w, c.degree, values - harmonic_projection(K, w, c).values)
+    if distance > _HARMONIC_GATE * n:
         raise ValueError(
             f"input cochain of degree {c.degree} is not harmonic to tolerance "
-            f"(relative defect {defect / (scale * n):.3e})"
+            f"(relative distance {distance / n:.3e} from the harmonic span)"
         )
 
 
@@ -124,6 +124,11 @@ def pair_residual(
     b: Cochain,
 ) -> PairResidual:
     """Residual of the cup product of two harmonic cochains.
+
+    An input counts as harmonic when its w-distance from the span of the
+    certified harmonic basis of its degree is at most _HARMONIC_GATE times
+    its own w-norm; any other input raises ValueError, and a basis that
+    fails certification raises NumericalError.
 
     Returns 0 with the zero-product flag when the product vanishes
     identically relative to ||a|| ||b||, and an exact 0 with the unit flag

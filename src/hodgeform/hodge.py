@@ -172,7 +172,13 @@ def _operators(K: SimplicialComplex) -> _Operators:
     return K.derived("hodge_operators", _Operators)
 
 
-def _laplacian(ops: _Operators, w: MetricWeights, k: int) -> sp.csr_matrix:
+def laplacian(K: SimplicialComplex, w: MetricWeights, k: int) -> sp.csr_matrix:
+    """Delta_k as a sparse matrix; self-adjoint under the weighted inner
+    product and positive semidefinite (not symmetric as a plain matrix)."""
+    if not 0 <= k <= K.dimension:
+        raise ValueError(f"degree {k} out of range 0..{K.dimension}")
+    _check_weights(K, w)
+    ops = _operators(K)
     m = len(w.degree(k))
     out = sp.csr_matrix((m, m))
     if k < len(ops.d):
@@ -182,15 +188,6 @@ def _laplacian(ops: _Operators, w: MetricWeights, k: int) -> sp.csr_matrix:
         d = ops.d[k - 1]
         out = out + d @ sp.diags(1.0 / w.degree(k - 1)) @ d.T @ sp.diags(w.degree(k))
     return out.tocsr()
-
-
-def laplacian(K: SimplicialComplex, w: MetricWeights, k: int) -> sp.csr_matrix:
-    """Delta_k as a sparse matrix; self-adjoint under the weighted inner
-    product and positive semidefinite (not symmetric as a plain matrix)."""
-    if not 0 <= k <= K.dimension:
-        raise ValueError(f"degree {k} out of range 0..{K.dimension}")
-    _check_weights(K, w)
-    return _laplacian(_operators(K), w, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,9 +249,8 @@ def _orthonormalize(X: np.ndarray, wk: np.ndarray) -> np.ndarray:
 
 
 def _rcond(gram: np.ndarray) -> float:
-    """Reciprocal condition of a symmetric positive semidefinite matrix."""
-    if not gram.size:
-        return 1.0
+    """Reciprocal condition of a nonempty symmetric positive semidefinite
+    matrix."""
     eigs = np.linalg.eigvalsh(gram)
     return float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else 0.0
 
@@ -343,9 +339,10 @@ def harmonic_basis(
     return HarmonicBasis(k, split.vectors, residual, split.gram_rcond)
 
 
-def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float | None:
+def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
     """Smallest nonzero eigenvalue mu_j of the pencil
-    (d_{j-1}^T W_j d_{j-1}, W_{j-1}), or None when d_{j-1} = 0.
+    (d_{j-1}^T W_j d_{j-1}, W_{j-1}), for 1 <= j <= dim K.  Every j-simplex
+    has a nonzero boundary, so d_{j-1} has rank r >= 1.
 
     Its eigenvectors are the coexact (j-1)-cochains, which the columns J of
     d_{j-1} parametrize: a coefficient vector c stands for the coexact part
@@ -358,8 +355,6 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float |
     ops = _operators(K)
     J = ops.independent[j - 1]
     r = len(J)
-    if r == 0:
-        return None
     W = w.degree(j - 1)
     WJ = W[J]
     D = ops.exact_span[j]
@@ -428,9 +423,14 @@ def harmonic_projection(
     c: Cochain,
     basis: HarmonicBasis | None = None,
 ) -> Cochain:
-    """w-orthogonal projection onto the harmonic subspace; idempotent."""
+    """w-orthogonal projection onto the harmonic subspace; idempotent.
+    A given ``basis`` must have the degree of ``c``."""
     if basis is None:
         basis = harmonic_basis(K, w, c.degree)
+    elif basis.degree != c.degree:
+        raise ValueError(
+            f"cannot project a degree-{c.degree} cochain onto a degree-{basis.degree} basis"
+        )
     X = basis.vectors
     values = np.asarray(c.values, dtype=np.float64)
     if X.shape[1] == 0:

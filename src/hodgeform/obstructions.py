@@ -58,7 +58,6 @@ class CohomologySummary:
     b_plus: int | None = None
     b_minus: int | None = None
     name: str = ""
-    source: str = "user-supplied"
 
     def __post_init__(self):
         n = self.dimension
@@ -334,7 +333,6 @@ def summarize(K: SimplicialComplex) -> CohomologySummary:
         b_plus=b_plus,
         b_minus=b_minus,
         name=K.name,
-        source="computed-from-complex",
     )
 
 
@@ -388,5 +386,4 @@ def load_summary(path) -> CohomologySummary:
         b_plus=b_plus,
         b_minus=b_minus,
         name=name,
-        source="user-supplied",
     )

@@ -388,3 +388,53 @@ def test_analyze_checks_topology_once(tmp_path, monkeypatch):
     monkeypatch.setattr(complexes, "_ridge_incidence", counted)
     assert run(["analyze", complex_path, "--all", "-o", tmp_path / "r.json"]) == 0
     assert len(calls) == 1
+
+
+def test_analyze_refuses_a_small_spectral_gap(tmp_path):
+    # the bases certify (smallest Gram rcond 0.864), but the gap of Delta_0
+    # (0.204) is below the tolerance
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    report_path = tmp_path / "report.json"
+    args = ["analyze", complex_path, "--hodge", "--tolerance", "0.5", "-o", report_path]
+    assert run(args) == 3
+    error = json.loads(report_path.read_text())["errors"]["hodge"]
+    assert error.startswith("spectral gap of Delta_0 is 2.042e-01 <= tolerance"), error
+
+
+def test_search_numerical_failure_exits_3(tmp_path, capsys):
+    # a 1e12 weight spread leaves the degree-1 basis uncertified
+    import numpy as np
+
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    rng = np.random.default_rng(1)
+    weights = [(10.0 ** rng.uniform(-6, 6, count)).tolist() for count in (9, 27, 18)]
+    weights_path = tmp_path / "bad.json"
+    weights_path.write_text(json.dumps({"weights": weights}))
+    out = tmp_path / "best.json"
+    args = ["search", complex_path, "--init", "file", "--weights", weights_path]
+    assert run([*args, "-o", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: degree-1 harmonic basis has residual"), err
+    assert not out.exists()
+
+
+def test_search_writes_trace_next_to_output_by_default(tmp_path):
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    out = tmp_path / "best.json"
+    args = ["search", complex_path, "--degrees", "1,2", "--max-iterations", "1"]
+    assert run([*args, "-o", out]) == 0
+    lines = (tmp_path / "best.trace.csv").read_text().splitlines()
+    assert lines[0] == "iteration,aggregate"
+    assert len(lines) >= 2
+    assert len(json.loads(out.read_text())["weights"]) == 3
+
+
+def test_search_rejects_a_non_integer_degree(tmp_path):
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    out = tmp_path / "best.json"
+    assert run(["search", complex_path, "--degrees", "1,x", "-o", out]) == 2
+    assert not out.exists()

@@ -278,6 +278,31 @@ def test_connected_sum_of_orientable_is_orientable(tori, spheres):
         assert orient(connected_sum(a, b)) is not None
 
 
+def test_connected_sum_glues_once_and_orients(small_zoo, monkeypatch):
+    # the order-preserving gluing orients every equal-dimension pair of
+    # orientable summands, each built by a single build_complex
+    from hodgeform import complexes
+
+    summands = [
+        K for K in small_zoo.values() if is_closed_pseudomanifold(K) and orient(K) is not None
+    ]
+    builds = []
+    original = complexes.build_complex
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "build_complex", counted)
+    pairs = [(a, b) for a in summands for b in summands if a.dimension == b.dimension]
+    assert len(pairs) >= 20
+    for a, b in pairs:
+        builds.clear()
+        K = connected_sum(a, b)
+        assert len(builds) == 1, (a.name, b.name)
+        assert orient(K) is not None, (a.name, b.name)
+
+
 def test_connected_sum_dimension_mismatch(tori, spheres):
     with pytest.raises(ValueError):
         connected_sum(tori[2], spheres[3])

@@ -13,13 +13,15 @@ from hodgeform.formality import (
     pair_residual,
     search_formal_weights,
 )
+from hodgeform.errors import NumericalError
 from hodgeform.hodge import (
     MetricWeights,
     harmonic_basis,
+    laplacian,
     random_weights,
     unit_weights,
 )
-from hodgeform.homology import boundary_matrix
+from hodgeform.homology import betti_numbers, boundary_matrix
 
 
 def oracle_pair_residual(K, w, a, b):
@@ -105,6 +107,52 @@ def test_pair_residual_rejects_non_harmonic_inputs(tori):
         pair_residual(K, w, junk, good)
     with pytest.raises(ValueError):
         pair_residual(K, w, good, Cochain(1, np.zeros(27)))
+
+
+def first_nonzero_mode(K, w, k):
+    """The W-unit eigenvector of the first nonzero eigenvalue of Delta_k,
+    from a dense eigensolve of W^{1/2} Delta_k W^{-1/2}."""
+    sqrt_w = np.sqrt(w.degree(k))
+    S = sqrt_w[:, None] * laplacian(K, w, k).toarray() / sqrt_w[None, :]
+    _, vectors = scipy.linalg.eigh(0.5 * (S + S.T))
+    return vectors[:, betti_numbers(K)[k]] / sqrt_w
+
+
+def test_pair_residual_rejects_a_slow_non_harmonic_mode(surfaces):
+    # the first nonzero eigenvalue of Delta_1 is 1.2e-3, 8.7e-8 of the
+    # Laplacian's row-sum scale, yet e is W-orthogonal to every harmonic
+    # cochain
+    K = surfaces[2]
+    w = random_weights(K, 1)
+    e = Cochain(1, first_nonzero_mode(K, w, 1))
+    h = harmonic_basis(K, w, 1).cochains[0]
+    with pytest.raises(ValueError, match="not harmonic"):
+        pair_residual(K, w, e, h)
+    with pytest.raises(ValueError, match="not harmonic"):
+        pair_residual(K, w, h, e)
+
+
+def test_pair_residual_gate_measures_distance_from_the_harmonic_span(tori):
+    K = tori[2]
+    w = random_weights(K, 0)
+    e = first_nonzero_mode(K, w, 1)
+    h0, h1 = harmonic_basis(K, w, 1).cochains
+    with pytest.raises(ValueError, match="not harmonic"):
+        pair_residual(K, w, Cochain(1, h0.values + 0.1 * e), h1)
+    # a W-distance of 1e-9 is within the gate, and moves the residual by
+    # no more than that
+    near = pair_residual(K, w, Cochain(1, h0.values + 1e-9 * e), h1).residual
+    assert abs(near - pair_residual(K, w, h0, h1).residual) < 1e-8
+
+
+def test_pair_residual_gate_needs_a_certified_basis(tori):
+    # a 1e12 weight spread leaves the degree-1 basis with residual 2.3e-7
+    K = tori[2]
+    rng = np.random.default_rng(1)
+    w = MetricWeights(tuple(10.0 ** rng.uniform(-6, 6, K.simplex_count(k)) for k in range(3)))
+    c = Cochain(1, rng.standard_normal(K.simplex_count(1)))
+    with pytest.raises(NumericalError, match="residual"):
+        pair_residual(K, w, c, c)
 
 
 def test_identically_zero_product_is_flagged():
@@ -410,3 +458,50 @@ def test_search_rejects_bad_degrees(tori):
     cfg = SearchConfig(free_degrees=(5,))
     with pytest.raises(ValueError):
         search_formal_weights(tori[2], cfg)
+
+
+def test_search_accepts_halves_and_stops_on_a_synthetic_objective(tori, monkeypatch):
+    # No zoo complex gives the search a move it can accept, so the accept,
+    # halve and stop rules run against a bowl in the free log-weights with
+    # its one minimum 0.1 at off-lattice targets.
+    from types import SimpleNamespace
+
+    from hodgeform import formality
+
+    K = tori[2]
+    rng = np.random.default_rng(3)
+    targets = [rng.uniform(-1, 1, K.simplex_count(k)) for k in (1, 2)]
+
+    def bowl(w):
+        return 0.1 + 0.001 * sum(
+            float(np.sum((np.log(w.degree(k)) - t) ** 2)) for k, t in zip((1, 2), targets)
+        )
+
+    calls = []
+
+    def synthetic(K, w, *args):
+        calls.append(w)
+        return SimpleNamespace(aggregate=bowl(w))
+
+    monkeypatch.setattr(formality, "formality_residual", synthetic)
+    initial = random_weights(K, 2)
+    max_iterations = 200
+    cfg = SearchConfig(max_iterations=max_iterations, seed=8)
+    best, trace = search_formal_weights(K, cfg, initial)
+
+    assert len(trace) > 1
+    assert all(a - b > 1e-12 for a, b in zip(trace, trace[1:]))
+    assert bowl(best) == trace[-1]
+    assert np.array_equal(best.degree(0), initial.degree(0))
+    # a sweep evaluates every free coordinate at least once, so fewer
+    # evaluations than this mean the search stopped by its own rule
+    coords = K.simplex_count(1) + K.simplex_count(2)
+    assert len(calls) < 1 + max_iterations * coords
+    # the step halved: some moves are not multiples of the first step 0.5
+    moved = np.concatenate([np.log(best.degree(k) / initial.degree(k)) for k in (1, 2)])
+    assert np.any(np.abs(moved / 0.5 - np.round(moved / 0.5)) > 1e-6)
+    assert trace[-1] - 0.1 < 1e-5
+
+    again, again_trace = search_formal_weights(K, cfg, random_weights(K, 2))
+    assert again_trace == trace
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again.by_degree, best.by_degree))

@@ -202,7 +202,8 @@ def test_basis_depends_on_its_own_degree_weights_only(small_zoo):
 
 
 def test_spectral_gaps_match_dense_oracle(small_zoo):
-    for name, K in small_zoo.items():
+    # the single edge has a one-column pencil
+    for name, K in {**small_zoo, "edge": build_complex([(0, 1)])}.items():
         w = random_weights(K, 60)
         betti = betti_numbers(K)
         gaps = spectral_gaps(K, w)
@@ -312,6 +313,16 @@ def test_projection_idempotent(surfaces):
     once = harmonic_projection(K, w, c)
     twice = harmonic_projection(K, w, once)
     assert np.allclose(once.values, twice.values, atol=1e-12)
+
+
+def test_projection_refuses_a_basis_of_another_degree(spheres):
+    K = spheres[3]
+    w = random_weights(K, 0)
+    c = Cochain(3, np.random.default_rng(0).standard_normal(K.simplex_count(3)))
+    with pytest.raises(ValueError, match="degree"):
+        harmonic_projection(K, w, c, harmonic_basis(K, w, 0))
+    given = harmonic_projection(K, w, c, harmonic_basis(K, w, 3))
+    assert given.values.tobytes() == harmonic_projection(K, w, c).values.tobytes()
 
 
 def test_global_weight_scaling_leaves_harmonic_projector(tori):

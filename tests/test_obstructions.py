@@ -26,7 +26,6 @@ def test_summarize_three_torus(tori):
     assert s.dimension == 3
     assert s.betti == (1, 3, 3, 1)
     assert not s.has_middle_data
-    assert s.source == "computed-from-complex"
 
 
 def test_summarize_product_of_spheres(s2xs2):
