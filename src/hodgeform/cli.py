@@ -11,7 +11,8 @@ reports are byte-stable across runs apart from the recorded timings.
 Exit codes: 0 success; 1 the analysis ran fine and found an obstructed
 verdict; 2 usage or input-schema error; 3 internal numerical failure, or an
 ``analyze`` stage that does not apply to the input (``obstructions`` on a
-non-orientable or open complex), with the stage's message under ``errors``.
+non-orientable or open complex, or on one that fails Poincare duality),
+with the stage's message under ``errors``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .complexes import (
     load_complex,
     orient,
     product_complex,
+    read_json,
     save_complex,
     sphere,
     surface,
@@ -118,7 +120,7 @@ def _tolerance(text: str) -> float:
 def _load_weights(K: SimplicialComplex, path: str | None):
     if path is None:
         return unit_weights(K)
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     if not isinstance(payload, dict) or "weights" not in payload:
         raise ValueError(f"{path}: expected an object with a 'weights' key")
     arrays = payload["weights"]
@@ -257,17 +259,23 @@ def cmd_search(args) -> int:
         raise ValueError("--init file needs --weights")
     if args.init != "file" and args.weights is not None:
         raise ValueError(f"--weights is read only with --init file, not --init {args.init}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    free_degrees = None
+    if args.degrees is not None:
+        try:
+            free_degrees = tuple(int(d) for d in args.degrees.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--degrees must be comma-separated integers, got {args.degrees!r}"
+            ) from None
     K = load_complex(args.complex)
     if args.init == "random":
         initial = random_weights(K, np.random.default_rng(args.seed))
     else:
         initial = _load_weights(K, args.weights)
     cfg = SearchConfig(
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        free_degrees=None
-        if args.degrees is None
-        else tuple(int(d) for d in args.degrees.split(",")),
+        max_iterations=args.max_iterations, seed=args.seed, free_degrees=free_degrees
     )
     best, trace = search_formal_weights(K, cfg, initial)
     _dump_json(_weights_payload(best), args.output)
@@ -330,7 +338,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -372,12 +372,18 @@ def save_complex(K: SimplicialComplex, path) -> None:
     )
 
 
+def read_json(path):
+    """The parsed contents of a JSON file; a file that is not JSON text
+    raises ValueError naming the path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def load_complex(path) -> SimplicialComplex:
     """Load and canonicalize a complex file: {"name": str, "facets": [[int,...],...]}."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict) or "facets" not in payload:
         raise ValueError(f"{path}: expected an object with a 'facets' key")
     name = payload.get("name", "")

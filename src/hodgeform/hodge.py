@@ -27,8 +27,9 @@ when a basis vector's harmonicity residual ||Delta v||_w exceeds
 RESIDUAL_LIMIT.  :func:`spectral_gaps` reports, per degree, the first
 nonzero eigenvalue of S_k = W^{1/2} Delta_k W^{-1/2} over the Gershgorin
 scale of S_k; the analysis pipeline raises when that gap is at most ``tol``.
-The residual certificate takes no tolerance, and :func:`spectral_gaps`
-projects only with bases that pass it.
+The residual certificate takes no tolerance.  Every basis the module
+projects with, :func:`spectral_gaps` included, comes from
+:func:`harmonic_basis`, so it has passed both certificates.
 """
 
 from __future__ import annotations
@@ -239,6 +240,16 @@ def _normal_factor(ops: _Operators, k: int, wk: np.ndarray) -> spla.SuperLU | No
     return factor
 
 
+def _exact_part(ops: _Operators, k: int, wk: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """W_k-orthogonal projection of X (one cochain or a block of columns)
+    onto im d_{k-1}, D N_k^{-1} D^T W_k X; zeros when im d_{k-1} = 0."""
+    factor = _normal_factor(ops, k, wk)
+    if factor is None:
+        return np.zeros_like(X)
+    D = ops.exact_span[k]
+    return D @ factor.solve(np.asarray(D.T @ (wk * X.T).T))
+
+
 def _orthonormalize(X: np.ndarray, wk: np.ndarray) -> np.ndarray:
     """X L^{-T} with L L^T the W-Gram matrix of X (done twice, which brings
     the W-orthogonality defect to round-off for any certified X)."""
@@ -259,10 +270,7 @@ def _build_split(ops: _Operators, k: int, wk: np.ndarray) -> _Split:
     X = ops.cocycles[k]
     if not X.shape[1]:
         return _Split(np.zeros((len(wk), 0)), 1.0)
-    factor = _normal_factor(ops, k, wk)
-    if factor is not None:
-        D = ops.exact_span[k]
-        X = X - D @ factor.solve(np.asarray(D.T @ (wk[:, None] * X)))
+    X = X - _exact_part(ops, k, wk, X)
     rcond = _rcond(X.T @ (wk[:, None] * X))
     try:
         H = _orthonormalize(X, wk)
@@ -349,8 +357,9 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
     of the cochain with values c on J.  In those coordinates the pencil
     becomes (N_j, M) with M c = E^T W_{j-1} (Ec - P Ec), where P projects
     onto ker d_{j-1} = im d_{j-2} + harmonic, i.e. via the factor of N_{j-1}
-    and the basis H_{j-1}.  ARPACK finds the largest eigenvalue 1/mu_j of
-    N_j^{-1} M with the factor of N_j; no Laplacian is factorized.
+    and the basis H_{j-1}, which comes from :func:`harmonic_basis`.  ARPACK
+    finds the largest eigenvalue 1/mu_j of N_j^{-1} M with the factor of
+    N_j; no Laplacian is factorized.
     """
     ops = _operators(K)
     J = ops.independent[j - 1]
@@ -360,17 +369,12 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
     D = ops.exact_span[j]
     wj = w.degree(j)
     N_factor = _normal_factor(ops, j, wj)
-    below = _normal_factor(ops, j - 1, W)
-    H = _split(K, w, j - 1).vectors
-    _certified_residual(ops, w, j - 1, H)
+    H = harmonic_basis(K, w, j - 1).vectors
 
     def coexact_mass(c):
-        u = np.zeros(len(W))
-        u[J] = WJ * c
-        kernel_part = H @ (H.T @ u)
-        if below is not None:
-            Dp = ops.exact_span[j - 1]
-            kernel_part += Dp @ below.solve(Dp.T @ u)
+        x = np.zeros(len(W))
+        x[J] = c
+        kernel_part = H @ (H.T @ (W * x)) + _exact_part(ops, j - 1, W, x)
         return WJ * c - (W * kernel_part)[J]
 
     def normal(c):
@@ -433,8 +437,6 @@ def harmonic_projection(
         )
     X = basis.vectors
     values = np.asarray(c.values, dtype=np.float64)
-    if X.shape[1] == 0:
-        return Cochain(c.degree, np.zeros_like(values))
     coeffs = X.T @ (w.degree(c.degree) * values)
     return Cochain(c.degree, X @ coeffs)
 
@@ -452,14 +454,7 @@ def hodge_decompose(
     _check_weights(K, w)
     values = np.asarray(c.values, dtype=np.float64)
     h = harmonic_projection(K, w, Cochain(k, values)).values
-
-    ops = _operators(K)
-    factor = _normal_factor(ops, k, w.degree(k))
-    if factor is None:
-        exact = np.zeros_like(values)
-    else:
-        D = ops.exact_span[k]
-        exact = D @ factor.solve(D.T @ (w.degree(k) * (values - h)))
+    exact = _exact_part(_operators(K), k, w.degree(k), values - h)
     coexact = values - h - exact
 
     scale = norm(w, k, values) or 1.0

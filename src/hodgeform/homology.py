@@ -53,10 +53,9 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> sp.csc_matrix:
     return mat
 
 
-def _strip_content(*vectors: dict[int, int] | None) -> None:
+def _strip_content(*vectors: dict[int, int]) -> None:
     """Divide the vectors by the gcd of all their entries (one common factor,
-    so a relation between them survives); ``None`` entries are ignored."""
-    vectors = tuple(vec for vec in vectors if vec is not None)
+    so a relation between them survives)."""
     g = 0
     for vec in vectors:
         for v in vec.values():
@@ -81,23 +80,24 @@ def _combine(x: dict[int, int], a: int, y: dict[int, int], b: int) -> dict[int, 
     return out
 
 
-def _reduce_columns(columns: Iterable[dict[int, int] | None], track: bool = False):
-    """Left-to-right column reduction over Q (integer arithmetic, gcd-stripped).
+def _reduce_columns(columns: Iterable[dict[int, int] | None]):
+    """Left-to-right column reduction over Q (integer arithmetic, gcd-stripped),
+    with the column operations recorded.
 
     ``None`` entries are skipped: the caller knows those columns depend on
     earlier ones (clearing).  Returns ``(pivots, kernel)``: ``pivots`` maps
     the low (largest row index) of each nonzero reduced column to that
     column's index, so its values are an independent column set and its size
-    is the rank.  With ``track`` the column operations are recorded, and
-    ``kernel`` maps each column that reduced to zero to an integral kernel
-    vector ``{column: coefficient}`` whose largest column is that column.
+    is the rank; ``kernel`` maps each column that reduced to zero to an
+    integral kernel vector ``{column: coefficient}`` whose largest column is
+    that column.
     """
-    pivots: dict[int, tuple[dict[int, int], dict[int, int] | None, int]] = {}
+    pivots: dict[int, tuple[dict[int, int], dict[int, int], int]] = {}
     kernel: dict[int, dict[int, int]] = {}
     for j, col in enumerate(columns):
         if col is None:
             continue
-        ops = {j: 1} if track else None
+        ops = {j: 1}
         while col:
             low = max(col)
             hit = pivots.get(low)
@@ -111,14 +111,12 @@ def _reduce_columns(columns: Iterable[dict[int, int] | None], track: bool = Fals
             a //= g
             b //= g
             col = _combine(col, a, other, b)
-            if track:
-                ops = _combine(ops, a, other_ops, b)
+            ops = _combine(ops, a, other_ops, b)
             if col and max(abs(v) for v in col.values()) > 1 << 62:
                 _strip_content(col, ops)
         else:
-            if track:
-                _strip_content(ops)
-                kernel[j] = ops
+            _strip_content(ops)
+            kernel[j] = ops
     return {low: j for low, (_, _, j) in pivots.items()}, kernel
 
 
@@ -133,8 +131,6 @@ def _columns_as_dicts(mat: sp.csc_matrix) -> list[dict[int, int]]:
 
 def exact_rank(mat: sp.csc_matrix) -> int:
     """Rank over Q of an integer sparse matrix."""
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        return 0
     pivots, _ = _reduce_columns(_columns_as_dicts(sp.csc_matrix(mat)))
     return len(pivots)
 
@@ -178,8 +174,8 @@ def _reduce_complex(K: SimplicialComplex) -> CohomologyReduction:
             cols = [{} for _ in range(m)]
         for j in cleared:
             cols[j] = None
-        pivots, kernel = _reduce_columns(cols, track=True)
-        ranks[k + 1] = len(pivots) if k < n else 0
+        pivots, kernel = _reduce_columns(cols)
+        ranks[k + 1] = len(pivots)
         X = np.zeros((m, len(kernel)), dtype=np.int64)
         for c, j in enumerate(sorted(kernel)):
             for r, v in kernel[j].items():

@@ -27,12 +27,10 @@ two never double-report the same failure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import comb
-from pathlib import Path
 
-from .complexes import SimplicialComplex, is_closed_pseudomanifold, orient
+from .complexes import SimplicialComplex, is_closed_pseudomanifold, orient, read_json
 from .cup import intersection_form
 from .homology import betti_numbers
 
@@ -352,10 +350,7 @@ def summary_to_dict(s: CohomologySummary) -> dict:
 def load_summary(path) -> CohomologySummary:
     """Read a summary JSON: {"name", "dimension", "betti", "orientable",
     "b_plus"?, "b_minus"?}."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")
     if "dimension" not in payload or not isinstance(payload.get("betti"), list):

@@ -75,3 +75,16 @@ def small_zoo(zoo):
         for name, K in zoo.items()
         if sum(K.f_vector) <= 1200
     }
+
+
+@pytest.fixture(scope="session")
+def suspended_torus3(tori):
+    """The suspension of T^3: its 162 facets coned to two new apexes.  A
+    closed orientable pseudomanifold with Betti (1, 0, 3, 3, 1), so
+    Poincare duality fails."""
+    T = tori[3]
+    a = T.vertex_count
+    return build_complex(
+        [(*f, a) for f in T.facets] + [(*f, a + 1) for f in T.facets],
+        name="suspension:torus:3",
+    )

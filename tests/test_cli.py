@@ -438,3 +438,48 @@ def test_search_rejects_a_non_integer_degree(tmp_path):
     out = tmp_path / "best.json"
     assert run(["search", complex_path, "--degrees", "1,x", "-o", out]) == 2
     assert not out.exists()
+
+
+def test_search_error_names_the_degrees_flag(tmp_path, capsys):
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    assert run(["search", complex_path, "--degrees", "1,x", "-o", tmp_path / "b.json"]) == 2
+    assert "--degrees" in capsys.readouterr().err
+
+
+def test_search_error_names_the_seed_flag(tmp_path, capsys):
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    out = tmp_path / "b.json"
+    assert run(["search", complex_path, "--seed", "-1", "-o", out]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_errors_name_the_file(tmp_path, capsys):
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    bad = tmp_path / "notjson.txt"
+    bad.write_text("notjson\n")
+    for args in (
+        ["analyze", complex_path, "--weights", bad],
+        ["analyze", bad],
+        ["check", bad],
+    ):
+        assert run(args) == 2, args
+        assert f"{bad}: not valid JSON" in capsys.readouterr().err, args
+
+
+def test_analyze_exits_3_when_duality_fails(tmp_path, suspended_torus3):
+    from hodgeform.complexes import save_complex
+
+    complex_path = tmp_path / "st3.json"
+    save_complex(suspended_torus3, complex_path)
+    report_path = tmp_path / "report.json"
+    assert run(["analyze", complex_path, "--all", "-o", report_path]) == 3
+    report = json.loads(report_path.read_text())
+    assert report["homology"]["poincare_duality"] is False
+    assert report["hodge"]["intersection"] is None
+    assert report["errors"] == {
+        "obstructions": "intersection form requires the duality check to pass"
+    }

@@ -505,3 +505,37 @@ def test_search_accepts_halves_and_stops_on_a_synthetic_objective(tori, monkeypa
     again, again_trace = search_formal_weights(K, cfg, random_weights(K, 2))
     assert again_trace == trace
     assert all(a.tobytes() == b.tobytes() for a, b in zip(again.by_degree, best.by_degree))
+
+
+def test_search_stops_after_a_sweep_that_gains_too_little(tori, monkeypatch):
+    # Raising any free log-weight by the first step 0.5 lowers the synthetic
+    # objective by 5e-9, so the first sweep accepts one move per coordinate
+    # and gains 45 * 5e-9 < 1e-6 in total on torus:2; the search must stop
+    # there instead of sweeping again.
+    from types import SimpleNamespace
+
+    from hodgeform import formality
+
+    K = tori[2]
+    initial = random_weights(K, 6)
+    targets = [np.log(initial.degree(k)) + 0.5 for k in (1, 2)]
+
+    def shallow(w):
+        return 0.5 + 1e-8 * sum(
+            float(np.sum(np.abs(np.log(w.degree(k)) - t))) for k, t in zip((1, 2), targets)
+        )
+
+    calls = []
+
+    def synthetic(K, w, *args):
+        calls.append(w)
+        return SimpleNamespace(aggregate=shallow(w))
+
+    monkeypatch.setattr(formality, "formality_residual", synthetic)
+    best, trace = search_formal_weights(K, SearchConfig(max_iterations=20, seed=1), initial)
+
+    coords = K.simplex_count(1) + K.simplex_count(2)
+    assert len(calls) == 1 + coords
+    assert len(trace) == 1 + coords
+    assert all(a - b > 1e-12 for a, b in zip(trace, trace[1:]))
+    assert trace[0] - trace[-1] < 1e-6

@@ -335,3 +335,28 @@ def test_global_weight_scaling_leaves_harmonic_projector(tori):
         P1 = b1.vectors @ (b1.vectors.T * base.degree(k))
         P2 = b2.vectors @ (b2.vectors.T * scaled.degree(k))
         assert np.abs(P1 - P2).max() < 1e-8
+
+
+def test_projection_onto_an_empty_harmonic_space(spheres):
+    K = spheres[2]
+    w = random_weights(K, 5)
+    assert harmonic_basis(K, w, 1).cardinality == 0
+    c = Cochain(1, np.random.default_rng(5).standard_normal(K.simplex_count(1)))
+    h = harmonic_projection(K, w, c).values
+    assert h.shape == (K.simplex_count(1),)
+    assert not np.any(h)
+    exact, coexact, harmonic = hodge_decompose(K, w, c)
+    assert not np.any(harmonic.values)
+    assert np.allclose(exact.values + coexact.values, c.values, atol=1e-12)
+
+
+def test_spectral_gaps_project_only_with_certified_bases(monkeypatch):
+    # every Gram matrix now reads as singular, so no basis passes the
+    # certificate and the gaps cannot be computed from one
+    from hodgeform import hodge
+    from hodgeform.complexes import torus
+
+    monkeypatch.setattr(hodge, "_rcond", lambda gram: 0.0)
+    K = torus(2)
+    with pytest.raises(NumericalError, match="Gram matrix"):
+        spectral_gaps(K, unit_weights(K))

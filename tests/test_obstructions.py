@@ -277,3 +277,17 @@ def test_load_summary_rejects_bad_files(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_summary(path)
+
+
+def test_suspended_torus_fails_duality(suspended_torus3):
+    from hodgeform.cup import intersection_form
+    from hodgeform.homology import betti_numbers, poincare_duality_check
+
+    K = suspended_torus3
+    assert K.f_vector == (29, 243, 702, 810, 324)
+    assert betti_numbers(K) == (1, 0, 3, 3, 1)
+    assert poincare_duality_check(K) is False
+    with pytest.raises(ValueError, match="requires the duality check to pass"):
+        intersection_form(K)
+    with pytest.raises(ValueError, match="requires the duality check to pass"):
+        summarize(K)
