@@ -9,10 +9,11 @@ All file outputs are canonical JSON (sorted keys, stable float repr), so
 reports are byte-stable across runs apart from the recorded timings.
 
 Exit codes: 0 success; 1 the analysis ran fine and found an obstructed
-verdict; 2 usage or input-schema error; 3 internal numerical failure, or an
-``analyze`` stage that does not apply to the input (``obstructions`` on a
-non-orientable or open complex, or on one that fails Poincare duality),
-with the stage's message under ``errors``.
+verdict; 2 usage or input-schema error, including an ``analyze`` stage that
+does not apply to the input (``obstructions`` on a non-orientable or open
+complex, or on one that fails Poincare duality); 3 internal numerical
+failure.  A failed ``analyze`` stage leaves its message under ``errors`` and
+the run exits with that failure's code, 3 if any stage failed numerically.
 """
 
 from __future__ import annotations
@@ -64,6 +65,30 @@ EXIT_OK = 0
 EXIT_OBSTRUCTED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# exception -> exit code, first match wins (LinAlgError is a ValueError)
+_EXIT_CODES = (
+    (NumericalError, EXIT_NUMERICAL),
+    (np.linalg.LinAlgError, EXIT_NUMERICAL),
+    (ValueError, EXIT_USAGE),
+    (OSError, EXIT_USAGE),
+)
+_FAILURES = tuple(kind for kind, _ in _EXIT_CODES)
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+
+
+class _StageError(str):
+    """The message a failed ``analyze`` stage leaves under ``errors``: it
+    serializes as the plain message and keeps its failure's exit code."""
+
+    def __new__(cls, exc: Exception):
+        message = super().__new__(cls, str(exc))
+        message.code = _exit_code(exc)
+        return message
+
 
 _STAGES = ("betti", "hodge", "formality", "obstructions")
 
@@ -161,8 +186,8 @@ def _analyze_report(K: SimplicialComplex, w, stages: set[str], tol: float) -> di
         start = time.perf_counter()
         try:
             fn()
-        except (NumericalError, ValueError, np.linalg.LinAlgError) as exc:
-            report["errors"][stage] = str(exc)
+        except _FAILURES as exc:
+            report["errors"][stage] = _StageError(exc)
         report["timings"][stage] = time.perf_counter() - start
 
     def stage_betti():
@@ -238,7 +263,8 @@ def cmd_analyze(args) -> int:
     report = _analyze_report(K, w, stages, args.tolerance)
     _dump_json(report, args.output)
     if report.get("errors"):
-        return EXIT_NUMERICAL
+        # a numerical failure (3) outranks a stage that does not apply (2)
+        return max(error.code for error in report["errors"].values())
     obstructions = report.get("obstructions")
     if obstructions and obstructions["verdict"] == "obstructed":
         return EXIT_OBSTRUCTED
@@ -261,6 +287,10 @@ def cmd_search(args) -> int:
         raise ValueError(f"--weights is read only with --init file, not --init {args.init}")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.max_iterations < 0:
+        raise ValueError(
+            f"--max-iterations must be a non-negative integer, got {args.max_iterations}"
+        )
     free_degrees = None
     if args.degrees is not None:
         try:
@@ -270,6 +300,13 @@ def cmd_search(args) -> int:
                 f"--degrees must be comma-separated integers, got {args.degrees!r}"
             ) from None
     K = load_complex(args.complex)
+    if free_degrees is not None and (
+        len(set(free_degrees)) != len(free_degrees)
+        or not all(0 <= k <= K.dimension for k in free_degrees)
+    ):
+        raise ValueError(
+            f"--degrees must list distinct degrees in 0..{K.dimension}, got {args.degrees!r}"
+        )
     if args.init == "random":
         initial = random_weights(K, np.random.default_rng(args.seed))
     else:
@@ -335,12 +372,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except _FAILURES as exc:
+        code = _exit_code(exc)
+        label = "numerical failure" if code == EXIT_NUMERICAL else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -112,8 +112,6 @@ def _reduce_columns(columns: Iterable[dict[int, int] | None]):
             b //= g
             col = _combine(col, a, other, b)
             ops = _combine(ops, a, other_ops, b)
-            if col and max(abs(v) for v in col.values()) > 1 << 62:
-                _strip_content(col, ops)
         else:
             _strip_content(ops)
             kernel[j] = ops

@@ -20,15 +20,22 @@ Rules (all report every violation, not just the first):
   R10  dimension 4, b_1 = 0: b+ and b- odd or zero
   R11  dimension 4, b_1 = 0: b+ != 3 and b- != 3 (hence b+, b- in {0, 1})
 
-Rules needing middle data are marked "not evaluated" when it is absent.
+Each rule is declared once, in ``_RULES``, with its scope (dimensions and,
+for R8-R11, the value of b_1), whether it needs middle data, its check and
+its citation.  ``check_obstructions`` walks that table in order: a rule out
+of scope is skipped, a rule needing absent middle data is marked "not
+evaluated", and any other rule fires when its check lists a violation.
 The dimension-2 case is owned by R5, so R4 starts at dimension 3 and the
 two never double-report the same failure.
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Callable, Container
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex, is_closed_pseudomanifold, orient, read_json
 from .cup import intersection_form
@@ -135,132 +142,142 @@ class ObstructionReport:
         }
 
 
-_CITATIONS = {
-    "R1": "every degree-k Betti number is bounded by the k-th binomial "
-    "coefficient C(n, k), the value attained by the n-torus",
-    "R2": "in dimension 4m the middle self-dual and anti-self-dual ranks are "
-    "bounded by their torus values C(n, n/2)/2",
-    "R3": "the first Betti number can never equal n - 1 (a last independent "
-    "harmonic 1-cochain would be forced, raising it to n)",
-    "R4": "a nonzero first Betti number forces the Euler characteristic to "
-    "vanish (harmonic 1-cochains of constant length have no zeros)",
-    "R5": "for surfaces the product b_1 * chi must vanish",
-    "R6": "in dimension 3 the first Betti number lies in {0, 1, 3}",
-    "R7": "in dimension 4 the first Betti number lies in {0, 1, 2, 4}",
-    "R8": "dimension 4 with b_1 = 2 forces an indefinite middle form with "
-    "b+ = b- = 1 (the product of the two 1-classes squares to zero)",
-    "R9": "dimension 4 with b_1 = 1 forces b_2 = 0 (the Euler characteristic "
-    "vanishes and duality pairs the remaining degrees)",
-    "R10": "dimension 4 with b_1 = 0: a nonzero b+ (resp. b-) must be odd, "
-    "since nowhere-zero middle forms induce almost complex structures",
-    "R11": "dimension 4 with b_1 = 0: b+ = 3 and b- = 3 are impossible "
-    "(the characteristic-number count 4 + 5*b+ - b- cannot vanish), "
-    "leaving only the values 0 and 1",
-}
+def _middle_ranks(s):
+    return ("b+", s.b_plus), ("b-", s.b_minus)
+
+
+def _torus_bound(s):
+    n = s.dimension
+    return [f"b_{k} = {b} > {comb(n, k)} = C({n},{k})"
+            for k, b in enumerate(s.betti) if b > comb(n, k)]
+
+
+def _middle_torus_bound(s):
+    bound = comb(s.dimension, s.dimension // 2) // 2
+    return [f"{label} = {v} > {bound}" for label, v in _middle_ranks(s) if v > bound]
+
+
+def _euler_rule(s):
+    chi = s.euler_characteristic
+    return [f"b_1 = {s.b1} != 0 but chi = {chi} != 0"] if s.b1 != 0 and chi != 0 else []
+
+
+def _surface_rule(s):
+    chi = s.euler_characteristic
+    return [f"b_1 * chi = {s.b1} * {chi} = {s.b1 * chi} != 0"] if s.b1 * chi != 0 else []
+
+
+def _first_betti_in(*allowed: int):
+    listed = "{" + ", ".join(map(str, allowed)) + "}"
+    return lambda s: [] if s.b1 in allowed else [f"b_1 = {s.b1} not in {listed}"]
+
+
+def _hyperbolic_middle(s):
+    pair = (s.b_plus, s.b_minus)
+    return [] if pair == (1, 1) else [f"(b+, b-) = {pair} != (1, 1)"]
+
+
+def _odd_middle_ranks(s):
+    return [f"{label} = {v} is even and nonzero"
+            for label, v in _middle_ranks(s) if v != 0 and v % 2 == 0]
+
+
+class _Rule(NamedTuple):
+    """A rule is in scope when the dimension lies in ``dimensions`` and, if
+    ``b1`` is set, the first Betti number equals it.  A rule that
+    ``needs_middle`` is not evaluated without b+ and b-.  ``check`` lists
+    the violations, which are joined with "; " when the rule fires."""
+
+    rule_id: str
+    dimensions: Container[int]
+    b1: int | None
+    needs_middle: bool
+    check: Callable[[CohomologySummary], list[str]]
+    citation: str
+
+
+_ALL = sys.maxsize  # open upper end of a range of dimensions
+
+_RULES = (
+    _Rule("R1", range(_ALL), None, False, _torus_bound,
+          "every degree-k Betti number is bounded by the k-th binomial "
+          "coefficient C(n, k), the value attained by the n-torus"),
+    _Rule("R2", range(4, _ALL, 4), None, True, _middle_torus_bound,
+          "in dimension 4m the middle self-dual and anti-self-dual ranks are "
+          "bounded by their torus values C(n, n/2)/2"),
+    _Rule("R3", range(1, _ALL), None, False,
+          lambda s: [f"b_1 = {s.b1} = n - 1"] if s.b1 == s.dimension - 1 else [],
+          "the first Betti number can never equal n - 1 (a last independent "
+          "harmonic 1-cochain would be forced, raising it to n)"),
+    # starts at dimension 3: the surface rule below owns dimension 2
+    _Rule("R4", range(3, _ALL), None, False, _euler_rule,
+          "a nonzero first Betti number forces the Euler characteristic to "
+          "vanish (harmonic 1-cochains of constant length have no zeros)"),
+    _Rule("R5", (2,), None, False, _surface_rule,
+          "for surfaces the product b_1 * chi must vanish"),
+    _Rule("R6", (3,), None, False, _first_betti_in(0, 1, 3),
+          "in dimension 3 the first Betti number lies in {0, 1, 3}"),
+    _Rule("R7", (4,), None, False, _first_betti_in(0, 1, 2, 4),
+          "in dimension 4 the first Betti number lies in {0, 1, 2, 4}"),
+    _Rule("R8", (4,), 2, True, _hyperbolic_middle,
+          "dimension 4 with b_1 = 2 forces an indefinite middle form with "
+          "b+ = b- = 1 (the product of the two 1-classes squares to zero)"),
+    _Rule("R9", (4,), 1, False,
+          lambda s: [f"b_2 = {s.betti[2]} != 0"] if s.betti[2] != 0 else [],
+          "dimension 4 with b_1 = 1 forces b_2 = 0 (the Euler characteristic "
+          "vanishes and duality pairs the remaining degrees)"),
+    _Rule("R10", (4,), 0, True, _odd_middle_ranks,
+          "dimension 4 with b_1 = 0: a nonzero b+ (resp. b-) must be odd, "
+          "since nowhere-zero middle forms induce almost complex structures"),
+    _Rule("R11", (4,), 0, True,
+          lambda s: [f"{label} = 3" for label, v in _middle_ranks(s) if v == 3],
+          "dimension 4 with b_1 = 0: b+ = 3 and b- = 3 are impossible "
+          "(the characteristic-number count 4 + 5*b+ - b- cannot vanish), "
+          "leaving only the values 0 and 1"),
+)
+
 
 def check_obstructions(s: CohomologySummary) -> ObstructionReport:
-    """Evaluate R1-R11 on a summary; fired rules carry the instantiated
-    inequality.  Pure: identical summaries yield identical reports."""
-    n = s.dimension
-    b = s.betti
-    chi = s.euler_characteristic
+    """Evaluate R1-R11 on a summary, in table order; fired rules carry the
+    instantiated inequality.  Pure: identical summaries yield identical
+    reports."""
     fired: list[FiredRule] = []
     not_evaluated: list[str] = []
-
-    def fire(rule_id: str, violation: str) -> None:
-        fired.append(FiredRule(rule_id, _CITATIONS[rule_id], violation))
-
-    def middle_guard(rule_id: str) -> bool:
-        if s.has_middle_data:
-            return True
-        not_evaluated.append(rule_id)
-        return False
-
-    # R1
-    bad = [k for k in range(n + 1) if b[k] > comb(n, k)]
-    if bad:
-        fire(
-            "R1",
-            "; ".join(f"b_{k} = {b[k]} > {comb(n, k)} = C({n},{k})" for k in bad),
-        )
-
-    # R2
-    if n > 0 and n % 4 == 0:
-        if middle_guard("R2"):
-            bound = comb(n, n // 2) // 2
-            bad2 = [
-                (label, value)
-                for label, value in (("b+", s.b_plus), ("b-", s.b_minus))
-                if value > bound
-            ]
-            if bad2:
-                fire(
-                    "R2",
-                    "; ".join(f"{lbl} = {v} > {bound}" for lbl, v in bad2),
-                )
-
-    # R3
-    if n >= 1 and s.b1 == n - 1:
-        fire("R3", f"b_1 = {s.b1} = n - 1")
-
-    # R4 (dimension >= 3; dimension 2 is owned by R5)
-    if n >= 3 and s.b1 != 0 and chi != 0:
-        fire("R4", f"b_1 = {s.b1} != 0 but chi = {chi} != 0")
-
-    # R5
-    if n == 2 and s.b1 * chi != 0:
-        fire("R5", f"b_1 * chi = {s.b1} * {chi} = {s.b1 * chi} != 0")
-
-    # R6
-    if n == 3 and s.b1 not in (0, 1, 3):
-        fire("R6", f"b_1 = {s.b1} not in {{0, 1, 3}}")
-
-    # R7
-    if n == 4 and s.b1 not in (0, 1, 2, 4):
-        fire("R7", f"b_1 = {s.b1} not in {{0, 1, 2, 4}}")
-
-    # R8
-    if n == 4 and s.b1 == 2:
-        if middle_guard("R8") and not (s.b_plus == 1 and s.b_minus == 1):
-            fire("R8", f"(b+, b-) = ({s.b_plus}, {s.b_minus}) != (1, 1)")
-
-    # R9
-    if n == 4 and s.b1 == 1 and b[2] != 0:
-        fire("R9", f"b_2 = {b[2]} != 0")
-
-    # R10
-    if n == 4 and s.b1 == 0:
-        if middle_guard("R10"):
-            bad10 = [
-                (label, value)
-                for label, value in (("b+", s.b_plus), ("b-", s.b_minus))
-                if value != 0 and value % 2 == 0
-            ]
-            if bad10:
-                fire(
-                    "R10",
-                    "; ".join(f"{lbl} = {v} is even and nonzero" for lbl, v in bad10),
-                )
-
-    # R11
-    if n == 4 and s.b1 == 0:
-        if middle_guard("R11"):
-            bad11 = [
-                (label, value)
-                for label, value in (("b+", s.b_plus), ("b-", s.b_minus))
-                if value == 3
-            ]
-            if bad11:
-                fire("R11", "; ".join(f"{lbl} = 3" for lbl, _ in bad11))
-
+    for rule in _RULES:
+        if s.dimension not in rule.dimensions or rule.b1 not in (None, s.b1):
+            continue
+        if rule.needs_middle and not s.has_middle_data:
+            not_evaluated.append(rule.rule_id)
+        elif violations := rule.check(s):
+            fired.append(FiredRule(rule.rule_id, rule.citation, "; ".join(violations)))
     report = ObstructionReport(
         verdict="obstructed" if fired else "passes-elementary-tests",
         fired=fired,
-        not_evaluated=sorted(set(not_evaluated)),
+        not_evaluated=sorted(not_evaluated),
     )
-    if not fired and n <= 4:
+    if not fired and s.dimension <= 4:
         report.model = classify_symmetric_model(s)
     return report
+
+
+# The closed models with n <= 4, keyed by (dimension, Betti vector, (b+, b-));
+# a None pair means the Betti vector alone decides, whatever b+ and b- are.
+_MODELS = {
+    (0, (1,), None): "point",
+    (1, (1, 1), None): "S^1",
+    (2, (1, 0, 1), None): "S^2",
+    (2, (1, 2, 1), None): "T^2",
+    (3, (1, 0, 0, 1), None): "S^3 (rational)",
+    (3, (1, 1, 1, 1), None): "S^2 x S^1",
+    (3, (1, 3, 3, 1), None): "T^3",
+    (4, (1, 0, 0, 0, 1), None): "S^4 (rational)",
+    (4, (1, 1, 0, 1, 1), None): "S^3 x S^1",
+    (4, (1, 0, 1, 0, 1), (1, 0)): "CP^2",
+    (4, (1, 0, 1, 0, 1), (0, 1)): "reversed CP^2",
+    (4, (1, 0, 2, 0, 1), (1, 1)): "S^2 x S^2",
+    (4, (1, 2, 2, 2, 1), (1, 1)): "S^2 x T^2",
+    (4, (1, 4, 6, 4, 1), (3, 3)): "T^4",
+}
 
 
 def classify_symmetric_model(s: CohomologySummary) -> str | None:
@@ -277,36 +294,8 @@ def classify_symmetric_model(s: CohomologySummary) -> str | None:
         raise ValueError("classification covers dimensions up to 4 only")
     if not s.orientable:
         return None
-    b = s.betti
-    if n == 0:
-        return "point" if b == (1,) else None
-    if n == 1:
-        return "S^1" if b == (1, 1) else None
-    if n == 2:
-        return {(1, 0, 1): "S^2", (1, 2, 1): "T^2"}.get(b)
-    if n == 3:
-        return {
-            (1, 0, 0, 1): "S^3 (rational)",
-            (1, 1, 1, 1): "S^2 x S^1",
-            (1, 3, 3, 1): "T^3",
-        }.get(b)
-    # n == 4
-    if b == (1, 0, 0, 0, 1):
-        return "S^4 (rational)"
-    if b == (1, 1, 0, 1, 1):
-        return "S^3 x S^1"
-    if not s.has_middle_data:
-        return None
-    pair = (s.b_plus, s.b_minus)
-    if b == (1, 0, 1, 0, 1):
-        return {(1, 0): "CP^2", (0, 1): "reversed CP^2"}.get(pair)
-    if b == (1, 0, 2, 0, 1) and pair == (1, 1):
-        return "S^2 x S^2"
-    if b == (1, 2, 2, 2, 1) and pair == (1, 1):
-        return "S^2 x T^2"
-    if b == (1, 4, 6, 4, 1) and pair == (3, 3):
-        return "T^4"
-    return None
+    pair = (s.b_plus, s.b_minus) if s.has_middle_data else None
+    return _MODELS.get((n, s.betti, None)) or _MODELS.get((n, s.betti, pair))
 
 
 def summarize(K: SimplicialComplex) -> CohomologySummary:

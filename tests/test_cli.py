@@ -160,15 +160,28 @@ def test_analyze_tolerance_must_be_finite_and_positive(tmp_path):
 
 def test_analyze_stage_error_exit_code(tmp_path, rp2):
     # obstruction stage needs an orientable complex; the failure lands in the
-    # report and flips the exit code to the numerical-failure value
+    # report and the run exits with the input-error code
     from hodgeform.complexes import save_complex
 
     complex_path = tmp_path / "rp2.json"
     save_complex(rp2, complex_path)
     report_path = tmp_path / "report.json"
-    assert run(["analyze", complex_path, "--obstructions", "-o", report_path]) == 3
+    assert run(["analyze", complex_path, "--obstructions", "-o", report_path]) == 2
     report = json.loads(report_path.read_text())
     assert "obstructions" in report["errors"]
+
+
+def test_analyze_numerical_failure_outranks_an_inapplicable_stage(tmp_path, rp2):
+    from hodgeform.complexes import save_complex
+
+    complex_path = tmp_path / "rp2.json"
+    save_complex(rp2, complex_path)
+    report_path = tmp_path / "report.json"
+    args = ["analyze", complex_path, "--hodge", "--obstructions", "--tolerance", "0.5"]
+    assert run([*args, "-o", report_path]) == 3
+    errors = json.loads(report_path.read_text())["errors"]
+    assert errors["hodge"].startswith("spectral gap of Delta_1 is 9.549e-02"), errors
+    assert errors["obstructions"] == "summaries require an orientable complex"
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +469,26 @@ def test_search_error_names_the_seed_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_search_error_names_the_max_iterations_flag(tmp_path, capsys):
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    out = tmp_path / "b.json"
+    assert run(["search", complex_path, "--max-iterations", "-1", "-o", out]) == 2
+    assert "--max-iterations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_search_error_names_the_degrees_flag_for_a_degree_out_of_range(tmp_path, capsys):
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    out = tmp_path / "b.json"
+    for degrees in ("7", "1,1"):
+        assert run(["search", complex_path, "--degrees", degrees, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --degrees must list distinct degrees in 0..2"), err
+    assert not out.exists()
+
+
 def test_json_errors_name_the_file(tmp_path, capsys):
     complex_path = tmp_path / "t2.json"
     run(["generate", "torus:2", "-o", complex_path])
@@ -470,13 +503,13 @@ def test_json_errors_name_the_file(tmp_path, capsys):
         assert f"{bad}: not valid JSON" in capsys.readouterr().err, args
 
 
-def test_analyze_exits_3_when_duality_fails(tmp_path, suspended_torus3):
+def test_analyze_exits_2_when_duality_fails(tmp_path, suspended_torus3):
     from hodgeform.complexes import save_complex
 
     complex_path = tmp_path / "st3.json"
     save_complex(suspended_torus3, complex_path)
     report_path = tmp_path / "report.json"
-    assert run(["analyze", complex_path, "--all", "-o", report_path]) == 3
+    assert run(["analyze", complex_path, "--all", "-o", report_path]) == 2
     report = json.loads(report_path.read_text())
     assert report["homology"]["poincare_duality"] is False
     assert report["hodge"]["intersection"] is None

@@ -156,8 +156,122 @@ def test_adding_middle_data_only_adds_fired_rules():
         assert set(without.fired_ids) <= set(with_data.fired_ids)
 
 
+# (summary, fired (rule, violation) pairs, rules not evaluated)
+PINNED_REPORTS = [
+    (
+        (4, (1, 8, 8, 8, 1), 4, 4),
+        [
+            ("R1", "b_1 = 8 > 4 = C(4,1); b_2 = 8 > 6 = C(4,2); b_3 = 8 > 4 = C(4,3)"),
+            ("R2", "b+ = 4 > 3; b- = 4 > 3"),
+            ("R4", "b_1 = 8 != 0 but chi = -6 != 0"),
+            ("R7", "b_1 = 8 not in {0, 1, 2, 4}"),
+        ],
+        [],
+    ),
+    (
+        (4, (1, 3, 4, 3, 1), 2, 2),
+        [("R3", "b_1 = 3 = n - 1"), ("R7", "b_1 = 3 not in {0, 1, 2, 4}")],
+        [],
+    ),
+    ((3, (1, 1, 0, 1), None, None), [("R4", "b_1 = 1 != 0 but chi = -1 != 0")], []),
+    (
+        (2, (1, 4, 1), None, None),
+        [("R1", "b_1 = 4 > 2 = C(2,1)"), ("R5", "b_1 * chi = 4 * -2 = -8 != 0")],
+        [],
+    ),
+    (
+        (3, (1, 2, 2, 1), None, None),
+        [("R3", "b_1 = 2 = n - 1"), ("R6", "b_1 = 2 not in {0, 1, 3}")],
+        [],
+    ),
+    ((4, (1, 2, 2, 2, 1), 2, 0), [("R8", "(b+, b-) = (2, 0) != (1, 1)")], []),
+    ((4, (1, 2, 2, 2, 1), None, None), [], ["R2", "R8"]),
+    (
+        (4, (1, 1, 2, 1, 1), None, None),
+        [("R4", "b_1 = 1 != 0 but chi = 2 != 0"), ("R9", "b_2 = 2 != 0")],
+        ["R2"],
+    ),
+    (
+        (4, (1, 0, 4, 0, 1), 2, 2),
+        [("R10", "b+ = 2 is even and nonzero; b- = 2 is even and nonzero")],
+        [],
+    ),
+    (
+        (4, (1, 0, 22, 0, 1), 3, 19),
+        [("R1", "b_2 = 22 > 6 = C(4,2)"), ("R2", "b- = 19 > 3"), ("R11", "b+ = 3")],
+        [],
+    ),
+    (
+        (4, (1, 0, 22, 0, 1), None, None),
+        [("R1", "b_2 = 22 > 6 = C(4,2)")],
+        ["R10", "R11", "R2"],
+    ),
+    ((4, (1, 0, 6, 0, 1), 3, 3), [("R11", "b+ = 3; b- = 3")], []),
+    (
+        (8, (1, 0, 0, 0, 72, 0, 0, 0, 1), 36, 36),
+        [("R1", "b_4 = 72 > 70 = C(8,4)"), ("R2", "b+ = 36 > 35; b- = 36 > 35")],
+        [],
+    ),
+    ((0, (2,), 1, 1), [("R1", "b_0 = 2 > 1 = C(0,0)")], []),
+    (
+        (1, (2, 0), None, None),
+        [("R1", "b_0 = 2 > 1 = C(1,0)"), ("R3", "b_1 = 0 = n - 1")],
+        [],
+    ),
+]
+
+
+def test_every_rule_fires_with_its_pinned_violation():
+    fired_rules = set()
+    for (n, betti, plus, minus), fired, not_evaluated in PINNED_REPORTS:
+        report = check_obstructions(
+            CohomologySummary(n, betti, b_plus=plus, b_minus=minus)
+        )
+        assert [(r.rule_id, r.violation) for r in report.fired] == fired, betti
+        assert report.not_evaluated == not_evaluated, betti
+        assert report.verdict == ("obstructed" if fired else "passes-elementary-tests")
+        assert report.model is None
+        fired_rules.update(rule for rule, _ in fired)
+    assert fired_rules == {f"R{i}" for i in range(1, 12)}
+
+
 # ---------------------------------------------------------------------------
 # classification
+
+
+MODEL_ROWS = [
+    ((0, (1,), None, None), "point"),
+    ((1, (1, 1), None, None), "S^1"),
+    ((2, (1, 0, 1), None, None), "S^2"),
+    ((2, (1, 2, 1), None, None), "T^2"),
+    ((3, (1, 0, 0, 1), None, None), "S^3 (rational)"),
+    ((3, (1, 1, 1, 1), None, None), "S^2 x S^1"),
+    ((3, (1, 3, 3, 1), None, None), "T^3"),
+    ((4, (1, 0, 0, 0, 1), None, None), "S^4 (rational)"),
+    ((4, (1, 1, 0, 1, 1), None, None), "S^3 x S^1"),
+    ((4, (1, 0, 1, 0, 1), 1, 0), "CP^2"),
+    ((4, (1, 0, 1, 0, 1), 0, 1), "reversed CP^2"),
+    ((4, (1, 0, 2, 0, 1), 1, 1), "S^2 x S^2"),
+    ((4, (1, 2, 2, 2, 1), 1, 1), "S^2 x T^2"),
+    ((4, (1, 4, 6, 4, 1), 3, 3), "T^4"),
+]
+
+
+def test_every_model_row_is_matched():
+    for (n, betti, plus, minus), model in MODEL_ROWS:
+        s = CohomologySummary(n, betti, b_plus=plus, b_minus=minus)
+        assert classify_symmetric_model(s) == model
+        report = check_obstructions(s)
+        assert report.verdict == "passes-elementary-tests"
+        assert report.model == model
+    unmatched = [
+        CohomologySummary(2, (1, 2, 1), orientable=False),
+        CohomologySummary(4, (1, 0, 2, 0, 1)),
+        CohomologySummary(4, (1, 0, 2, 0, 1), b_plus=2, b_minus=0),
+        CohomologySummary(3, (1, 0, 1, 1)),
+    ]
+    for s in unmatched:
+        assert classify_symmetric_model(s) is None, summary_to_dict(s)
 
 
 def test_model_labels_for_bundled_summaries():
