@@ -4,6 +4,8 @@ Subcommands: ``generate`` (zoo complexes to JSON files), ``analyze``
 (homology / hodge / formality / obstruction pipeline over a complex file),
 ``check`` (obstruction rules over a summary file), ``search`` (weight
 search, persisting the best weights plus a CSV residual trace).
+``analyze`` times each requested stage in pipeline order, and its
+``obstructions`` section is the verdict payload ``check`` prints.
 
 All file outputs are canonical JSON (sorted keys, stable float repr), so
 reports are byte-stable across runs apart from the recorded timings.
@@ -80,16 +82,6 @@ def _exit_code(exc: Exception) -> int:
     return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
-class _StageError(str):
-    """The message a failed ``analyze`` stage leaves under ``errors``: it
-    serializes as the plain message and keeps its failure's exit code."""
-
-    def __new__(cls, exc: Exception):
-        message = super().__new__(cls, str(exc))
-        message.code = _exit_code(exc)
-        return message
-
-
 _STAGES = ("betti", "hodge", "formality", "obstructions")
 
 
@@ -99,6 +91,11 @@ def _dump_json(payload: dict, path: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+# zoo heads: one integer parameter, or two operand identifiers
+_FAMILIES = {"sphere": sphere, "torus": torus, "surface": surface}
+_OPERATIONS = {"product": product_complex, "connsum": connected_sum}
 
 
 def parse_zoo_identifier(identifier: str) -> SimplicialComplex:
@@ -111,24 +108,17 @@ def parse_zoo_identifier(identifier: str) -> SimplicialComplex:
     if Path(identifier).is_file():
         return load_complex(identifier)
     head, sep, rest = identifier.partition(":")
-    if not sep:
-        raise ValueError(f"unknown complex identifier {identifier!r}")
-    if head in ("sphere", "torus", "surface"):
+    if sep and head in _FAMILIES:
         try:
             arg = int(rest)
         except ValueError:
             raise ValueError(f"{identifier!r}: expected an integer parameter")
-        if head == "sphere":
-            return sphere(arg)
-        if head == "torus":
-            return torus(arg)
-        return surface(arg)
-    if head in ("product", "connsum"):
+        return _FAMILIES[head](arg)
+    if sep and head in _OPERATIONS:
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValueError(f"{identifier!r}: expected exactly two operands")
-        a, b = (parse_zoo_identifier(p) for p in parts)
-        return product_complex(a, b) if head == "product" else connected_sum(a, b)
+        return _OPERATIONS[head](*(parse_zoo_identifier(p) for p in parts))
     raise ValueError(f"unknown complex identifier {identifier!r}")
 
 
@@ -167,46 +157,39 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _analyze_report(K: SimplicialComplex, w, stages: set[str], tol: float) -> dict:
-    report: dict = {
-        "tool": {"name": "hodgeform", "version": __version__},
-        "complex": {
-            "name": K.name,
-            "dimension": K.dimension,
-            "f_vector": list(K.f_vector),
-        },
-        "timings": {},
-        "errors": {},
-    }
+def _verdict(summary) -> dict:
+    """The obstruction verdict payload that ``check`` prints and the
+    ``analyze`` obstructions stage reports."""
+    return {**check_obstructions(summary).to_dict(), "summary": summary_to_dict(summary)}
+
+
+def _verdict_code(verdict: dict | None) -> int:
+    obstructed = verdict is not None and verdict["verdict"] == "obstructed"
+    return EXIT_OBSTRUCTED if obstructed else EXIT_OK
+
+
+def _analyze_report(
+    K: SimplicialComplex, w, stages: set[str], tol: float
+) -> tuple[dict, list[int]]:
+    """Run the requested stages in pipeline order; return the report and the
+    exit code of every stage that failed."""
     n = K.dimension
     closed = is_closed_pseudomanifold(K)
-    orientation = orient(K) if closed else None
+    orientable = closed and orient(K) is not None
 
-    def run_stage(stage, fn):
-        start = time.perf_counter()
-        try:
-            fn()
-        except _FAILURES as exc:
-            report["errors"][stage] = _StageError(exc)
-        report["timings"][stage] = time.perf_counter() - start
-
-    def stage_betti():
-        duality = None
-        if closed and orientation is not None:
-            duality = poincare_duality_check(K)
-        report["homology"] = {
+    def homology():
+        return {
             "betti": list(betti_numbers(K)),
             "euler_characteristic": euler_characteristic(K),
             "closed_pseudomanifold": closed,
-            "orientable": None if not closed else orientation is not None,
-            "poincare_duality": duality,
+            "orientable": orientable if closed else None,
+            "poincare_duality": poincare_duality_check(K) if orientable else None,
         }
 
-    def stage_hodge():
+    def hodge():
         bases = [harmonic_basis(K, w, k, tol) for k in range(n + 1)]
-        gaps = spectral_gaps(K, w)
         degrees = []
-        for k, (basis, gap) in enumerate(zip(bases, gaps)):
+        for k, (basis, gap) in enumerate(zip(bases, spectral_gaps(K, w))):
             if gap is not None and gap <= tol:
                 raise NumericalError(
                     f"spectral gap of Delta_{k} is {gap:.3e} <= tolerance {tol:.3e}: "
@@ -220,38 +203,39 @@ def _analyze_report(K: SimplicialComplex, w, stages: set[str], tol: float) -> di
                     "spectral_gap": gap,
                 }
             )
-        payload = {"tolerance": tol, "degrees": degrees, "intersection": None}
-        if (
-            n > 0
-            and n % 2 == 0
-            and closed
-            and orientation is not None
-            and poincare_duality_check(K)
-        ):
+        intersection = None
+        if n > 0 and n % 2 == 0 and orientable and poincare_duality_check(K):
             form = intersection_form(K)
-            payload["intersection"] = {**asdict(form), "matrix": form.matrix.tolist()}
-        report["hodge"] = payload
+            intersection = {**asdict(form), "matrix": form.matrix.tolist()}
+        return {"tolerance": tol, "degrees": degrees, "intersection": intersection}
 
-    def stage_formality():
-        report["formality"] = formality_residual(K, w, tol).to_dict()
-
-    def stage_obstructions():
-        summary = summarize(K)
-        payload = check_obstructions(summary).to_dict()
-        payload["summary"] = summary_to_dict(summary)
-        report["obstructions"] = payload
-
-    if "betti" in stages:
-        run_stage("betti", stage_betti)
-    if "hodge" in stages:
-        run_stage("hodge", stage_hodge)
-    if "formality" in stages:
-        run_stage("formality", stage_formality)
-    if "obstructions" in stages:
-        run_stage("obstructions", stage_obstructions)
-    if not report["errors"]:
-        del report["errors"]
-    return report
+    # stage flag, report key, section builder
+    table = (
+        ("betti", "homology", homology),
+        ("hodge", "hodge", hodge),
+        ("formality", "formality", lambda: formality_residual(K, w, tol).to_dict()),
+        ("obstructions", "obstructions", lambda: _verdict(summarize(K))),
+    )
+    report: dict = {
+        "tool": {"name": "hodgeform", "version": __version__},
+        "complex": {"name": K.name, "dimension": n, "f_vector": list(K.f_vector)},
+        "timings": {},
+    }
+    errors: dict = {}
+    codes: list[int] = []
+    for stage, key, section in table:
+        if stage not in stages:
+            continue
+        start = time.perf_counter()
+        try:
+            report[key] = section()
+        except _FAILURES as exc:
+            errors[stage] = str(exc)
+            codes.append(_exit_code(exc))
+        report["timings"][stage] = time.perf_counter() - start
+    if errors:
+        report["errors"] = errors
+    return report, codes
 
 
 def cmd_analyze(args) -> int:
@@ -260,24 +244,16 @@ def cmd_analyze(args) -> int:
     stages = {s for s in _STAGES if getattr(args, s)}
     if args.all or not stages:
         stages = set(_STAGES)
-    report = _analyze_report(K, w, stages, args.tolerance)
+    report, codes = _analyze_report(K, w, stages, args.tolerance)
     _dump_json(report, args.output)
-    if report.get("errors"):
-        # a numerical failure (3) outranks a stage that does not apply (2)
-        return max(error.code for error in report["errors"].values())
-    obstructions = report.get("obstructions")
-    if obstructions and obstructions["verdict"] == "obstructed":
-        return EXIT_OBSTRUCTED
-    return EXIT_OK
+    # a numerical failure (3) outranks a stage that does not apply (2)
+    return max(codes) if codes else _verdict_code(report.get("obstructions"))
 
 
 def cmd_check(args) -> int:
-    summary = load_summary(args.summary)
-    report = check_obstructions(summary)
-    payload = report.to_dict()
-    payload["summary"] = summary_to_dict(summary)
-    _dump_json(payload, args.output)
-    return EXIT_OBSTRUCTED if report.verdict == "obstructed" else EXIT_OK
+    verdict = _verdict(load_summary(args.summary))
+    _dump_json(verdict, args.output)
+    return _verdict_code(verdict)
 
 
 def cmd_search(args) -> int:

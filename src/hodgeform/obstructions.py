@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Container
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb
 from typing import NamedTuple
 
@@ -53,9 +53,16 @@ __all__ = [
 ]
 
 
+def _require_integer(key: str, value) -> None:
+    # integers only: no floats, strings or booleans (bool subclasses int)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must hold integers, not {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class CohomologySummary:
-    """Betti vector plus optional middle-form data for one manifold."""
+    """Betti vector plus optional middle-form data for one manifold.  The
+    constructor checks every field (a ValueError) and stores betti as a tuple."""
 
     dimension: int
     betti: tuple[int, ...]
@@ -66,6 +73,19 @@ class CohomologySummary:
 
     def __post_init__(self):
         n = self.dimension
+        _require_integer("dimension", n)
+        if not isinstance(self.betti, (list, tuple)):
+            raise ValueError(f"'betti' must be a list of integers, not {self.betti!r}")
+        object.__setattr__(self, "betti", tuple(self.betti))
+        for b in self.betti:
+            _require_integer("betti", b)
+        for key in ("b_plus", "b_minus"):
+            if getattr(self, key) is not None:
+                _require_integer(key, getattr(self, key))
+        if not isinstance(self.orientable, bool):
+            raise ValueError(f"'orientable' must be true or false, not {self.orientable!r}")
+        if not isinstance(self.name, str):
+            raise ValueError(f"'name' must be a string, not {self.name!r}")
         if n < 0:
             raise ValueError("dimension must be nonnegative")
         if len(self.betti) != n + 1:
@@ -79,8 +99,8 @@ class CohomologySummary:
         if self.b_plus is not None:
             if not self.orientable:
                 raise ValueError("b_plus and b_minus need an orientable manifold")
-            if n % 2 != 0:
-                raise ValueError("middle-form data needs an even dimension")
+            if n % 4 != 0:
+                raise ValueError("middle-form data needs a dimension divisible by four")
             if self.b_plus < 0 or self.b_minus < 0:
                 raise ValueError("b_plus and b_minus must be nonnegative")
             if self.b_plus + self.b_minus != self.betti[n // 2]:
@@ -342,32 +362,10 @@ def load_summary(path) -> CohomologySummary:
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    if "dimension" not in payload or not isinstance(payload.get("betti"), list):
+    if "dimension" not in payload or "betti" not in payload:
         raise ValueError(f"{path}: summary needs 'dimension' and a 'betti' list")
-
-    def integer(key, value):
-        # JSON integers only: no floats, strings or booleans
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{path}: {key!r} must hold JSON integers, not {value!r}")
-        return value
-
-    dimension = integer("dimension", payload["dimension"])
-    betti = tuple(integer("betti", x) for x in payload["betti"])
-    b_plus, b_minus = (
-        None if payload.get(key) is None else integer(key, payload[key])
-        for key in ("b_plus", "b_minus")
-    )
-    orientable = payload.get("orientable", True)
-    if not isinstance(orientable, bool):
-        raise ValueError(f"{path}: 'orientable' must be true or false")
-    name = payload.get("name", "")
-    if not isinstance(name, str):
-        raise ValueError(f"{path}: 'name' must be a string")
-    return CohomologySummary(
-        dimension=dimension,
-        betti=betti,
-        orientable=orientable,
-        b_plus=b_plus,
-        b_minus=b_minus,
-        name=name,
-    )
+    known = {f.name: payload[f.name] for f in fields(CohomologySummary) if f.name in payload}
+    try:
+        return CohomologySummary(**known)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -235,6 +235,32 @@ def test_check_rejects_schema_violation(tmp_path):
     assert run(["check", summary]) == 2
 
 
+def test_check_refuses_middle_data_outside_dimensions_divisible_by_four(tmp_path):
+    summary = tmp_path / "t2.json"
+    payload = {"dimension": 2, "betti": [1, 2, 1], "orientable": True, "b_plus": 2, "b_minus": 0}
+    summary.write_text(json.dumps(payload))
+    assert run(["check", summary]) == 2
+
+
+def test_check_agrees_with_analyze(tmp_path, pinched_torus_squared):
+    from hodgeform.complexes import save_complex
+
+    pinched_path = tmp_path / "pinched.json"
+    save_complex(pinched_torus_squared, pinched_path)
+    for source in ("product:sphere:2,sphere:2", "torus:2", "surface:2", pinched_path):
+        complex_path = tmp_path / "complex.json"
+        run(["generate", source, "-o", complex_path])
+        analyze_path = tmp_path / "analyze.json"
+        analyze_code = run(["analyze", complex_path, "--obstructions", "-o", analyze_path])
+        analyzed = json.loads(analyze_path.read_text())["obstructions"]
+        summary_path = tmp_path / "summary.json"
+        summary_path.write_text(json.dumps(analyzed["summary"]))
+        check_path = tmp_path / "check.json"
+        check_code = run(["check", summary_path, "-o", check_path])
+        assert json.loads(check_path.read_text()) == analyzed, source
+        assert check_code == analyze_code, source
+
+
 def test_check_keeps_non_orientable_summaries_apart(tmp_path):
     summary = tmp_path / "summary.json"
     report_path = tmp_path / "out.json"

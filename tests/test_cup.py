@@ -187,7 +187,7 @@ def middle_degree_report(weights_of):
     from hodgeform.cli import _analyze_report
 
     K = product_complex(sphere(2), sphere(2))
-    report = _analyze_report(K, weights_of(K), {"hodge", "obstructions"}, 1e-9)
+    report, _ = _analyze_report(K, weights_of(K), {"hodge", "obstructions"}, 1e-9)
     assert "errors" not in report, report["errors"]
     return report["hodge"]["intersection"], report["obstructions"]["summary"]
 

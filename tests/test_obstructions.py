@@ -59,6 +59,24 @@ def test_summary_validation():
         CohomologySummary(4, (1, 0, 1, 0, 1), b_plus=1)  # one-sided middle data
 
 
+def test_middle_data_needs_dimension_divisible_by_four():
+    # the middle pairing in dimension 4m + 2 is skew: it has no b+ or b-
+    with pytest.raises(ValueError, match="divisible by four"):
+        CohomologySummary(2, (1, 2, 1), b_plus=2, b_minus=0)
+    with pytest.raises(ValueError, match="divisible by four"):
+        CohomologySummary(6, (1, 0, 0, 2, 0, 0, 1), b_plus=1, b_minus=1)
+    CohomologySummary(0, (2,), b_plus=1, b_minus=1)
+    CohomologySummary(8, (1, 0, 0, 0, 2, 0, 0, 0, 1), b_plus=1, b_minus=1)
+
+
+def test_list_betti_vector_reads_as_tuple():
+    as_list = CohomologySummary(4, [1, 0, 2, 0, 1], b_plus=1, b_minus=1)
+    as_tuple = CohomologySummary(4, (1, 0, 2, 0, 1), b_plus=1, b_minus=1)
+    assert as_list.betti == as_tuple.betti == (1, 0, 2, 0, 1)
+    assert check_obstructions(as_list).to_dict() == check_obstructions(as_tuple).to_dict()
+    assert check_obstructions(as_list).model == "S^2 x S^2"
+
+
 # ---------------------------------------------------------------------------
 # rule corpus
 
@@ -391,6 +409,9 @@ def test_load_summary_rejects_bad_files(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_summary(path)
+        # the constructor refuses the same fields from a library caller
+        with pytest.raises(ValueError):
+            CohomologySummary(**payload)
 
 
 def test_suspended_torus_fails_duality(suspended_torus3):
