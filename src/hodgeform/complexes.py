@@ -111,10 +111,11 @@ class SimplicialComplex:
         at ``positions`` (strictly increasing, within 0..k), as an int64
         array.  Built once per complex."""
         positions = tuple(positions)
-        if not positions or positions != tuple(sorted(set(range(k + 1)) & set(positions))):
-            raise ValueError(f"{positions} are not increasing positions in 0..{k}")
 
         def build(K: SimplicialComplex) -> np.ndarray:
+            # checked here, once: only valid positions ever reach the memo
+            if not positions or positions != tuple(sorted(set(range(k + 1)) & set(positions))):
+                raise ValueError(f"{positions} are not increasing positions in 0..{k}")
             index = K._index_maps[len(positions) - 1]
             keys = map(operator.itemgetter(*positions), K.simplices(k))
             if len(positions) == 1:

@@ -24,6 +24,7 @@ possible follow-up, not implemented.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,7 +39,6 @@ from .hodge import (
     norm,
     unit_weights,
 )
-from .cup import cup
 
 __all__ = [
     "PairResidual",
@@ -132,28 +132,63 @@ def pair_residual(
 
     Returns 0 with the zero-product flag when the product vanishes
     identically relative to ||a|| ||b||, and an exact 0 with the unit flag
-    when one factor has degree 0 (ring-unit law).
+    when one factor has degree 0 (ring-unit law).  Computed by the block
+    routine of :func:`formality_residual`, on a block of one pair.
     """
     _require_harmonic(K, w, a)
     _require_harmonic(K, w, b)
-    return _pair_residual(K, w, a, b, lambda k: harmonic_basis(K, w, k))
+    k, l = a.degree, b.degree
+    if k + l > K.dimension:
+        raise ValueError(f"cup degree {k}+{l} exceeds the complex dimension {K.dimension}")
+    basis_rows = lambda p: _rows(harmonic_basis(K, w, p).vectors.T)
+    block = _pair_block(K, w, k, _rows(a.values), l, _rows(b.values), basis_rows)
+    product_norm, residual, zero = (x.item() for x in block)
+    return PairResidual(residual, zero, product_norm, 0 in (k, l))
 
 
-def _pair_residual(K, w, a, b, basis_of) -> PairResidual:
-    # a and b are trusted to be harmonic; basis_of(k) gives the degree-k
-    # harmonic basis, asked for only when the product needs a projection
-    c = cup(K, a, b)
-    values = np.asarray(c.values, dtype=np.float64)
-    nc = norm(w, c.degree, values)
-    if a.degree == 0 or b.degree == 0:
-        return PairResidual(0.0, False, nc, unit_pair=True)
-    na = norm(w, a.degree, np.asarray(a.values, dtype=np.float64))
-    nb = norm(w, b.degree, np.asarray(b.values, dtype=np.float64))
-    if nc <= ZERO_PRODUCT_RTOL * na * nb:
-        return PairResidual(0.0, True, nc)
-    projected = harmonic_projection(K, w, Cochain(c.degree, values), basis_of(c.degree))
-    residual = norm(w, c.degree, values - projected.values) / nc
-    return PairResidual(float(residual), False, nc)
+def _rows(values) -> np.ndarray:
+    # cochains as the rows of one C-contiguous float array: the layout in
+    # which every per-cochain reduction below runs
+    return np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=np.float64)))
+
+
+def _row_norms(X: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """The w-norm of every row of X.  einsum reduces each row along its own
+    contiguous values, so a row's norm does not depend on how many rows X
+    has; a BLAS product would not promise that."""
+    return np.sqrt(np.einsum("pi,pi,i->p", X, X, wk))
+
+
+def _pair_block(K, w, k, A, l, B, basis_rows):
+    """(product norms, residuals, zero-product flags) of a cup b for every
+    row a of A (degree k) and every row b of B (degree l), a-major.
+
+    The products form one block C with a row per pair, projected at once:
+    C - (C W H^T) H with H = basis_rows(k + l), the harmonic rows of the
+    target degree, asked for only when some product needs a projection.
+    Rows of A and B are trusted to be harmonic.  Every reduction runs per
+    row, so a pair's results do not depend on the block it is in.  Unit
+    pairs (k or l is 0) get residual 0 and no zero-product test.
+    """
+    target = k + l
+    front = K.faces(target, range(k + 1))
+    back = K.faces(target, range(k, target + 1))
+    C = (A[:, front][:, None, :] * B[:, back][None, :, :]).reshape(-1, len(front))
+    wt = w.degree(target)
+    product_norm = _row_norms(C, wt)
+    residual = np.zeros(len(C))
+    if k == 0 or l == 0:
+        return product_norm, residual, np.zeros(len(C), dtype=bool)
+    floor = (ZERO_PRODUCT_RTOL * _row_norms(A, w.degree(k)))[:, None] * _row_norms(B, w.degree(l))
+    zero = product_norm <= floor.ravel()
+    live = ~zero
+    if live.any():
+        H = basis_rows(target)
+        C = C[live]
+        coeffs = np.einsum("pi,si->ps", wt * C, H)
+        projected = np.einsum("ps,si->pi", coeffs, H)
+        residual[live] = _row_norms(C - projected, wt) / product_norm[live]
+    return product_norm, residual, zero
 
 
 def _vertex_incidence(K: SimplicialComplex, k: int) -> sp.csc_matrix:
@@ -172,13 +207,19 @@ def norm_constancy(K: SimplicialComplex, w: MetricWeights, a: Cochain) -> float:
     k-simplices containing it, weight-normalized; 0 means the cochain has
     discretely constant length.
     """
-    values = np.asarray(a.values, dtype=np.float64)
+    values = _rows(a.values)
     if not np.any(values):
         raise ValueError("norm constancy of the zero cochain is undefined")
-    weights = w.degree(a.degree)
-    S = K.derived(f"vertex_incidence:{a.degree}", lambda K: _vertex_incidence(K, a.degree))
-    local = (S @ (weights * values**2)) / (S @ weights)
-    return float(local.std() / local.mean())
+    return float(_norm_variation(K, w, a.degree, values)[0])
+
+
+def _norm_variation(K, w, k, A) -> np.ndarray:
+    # norm_constancy of every row of A (degree k), one row per reduction
+    weights = w.degree(k)
+    S = K.derived(f"vertex_incidence:{k}", lambda K: _vertex_incidence(K, k))
+    local = (S @ (weights * A**2).T) / (S @ weights)[:, None]
+    local = np.ascontiguousarray(local.T)
+    return local.std(axis=1) / local.mean(axis=1)
 
 
 def formality_residual(
@@ -190,20 +231,24 @@ def formality_residual(
     Both orders of a pair are recorded, since the cochain product is not
     commutative.  Pair records are sorted by (degree_a, degree_b, index_a,
     index_b), norm records by (degree, index); the aggregate is the maximum
-    residual over the pair records.
+    residual over the pair records.  The pairs of each degree pair (k, l)
+    are evaluated as one block, the norms of each degree in one product.
     """
     n = K.dimension
-    bases = [harmonic_basis(K, w, k, tol) for k in range(n + 1)]
-    cochains = [basis.cochains for basis in bases]
+    rows = [_rows(harmonic_basis(K, w, k, tol).vectors.T) for k in range(n + 1)]
     report = FormalityReport(aggregate=0.0, tolerance=tol)
     for k in range(n + 1):
-        for i, a in enumerate(cochains[k]):
-            report.norm_constancy.append(NormRecord(k, i, norm_constancy(K, w, a)))
+        if not len(rows[k]):
+            continue
+        variation = _norm_variation(K, w, k, rows[k]).tolist()
+        report.norm_constancy += [NormRecord(k, i, v) for i, v in enumerate(variation)]
         for l in range(n + 1 - k):
-            for i, a in enumerate(cochains[k]):
-                for j, b in enumerate(cochains[l]):
-                    r = _pair_residual(K, w, a, b, bases.__getitem__)
-                    report.pairs.append(PairRecord(k, i, l, j, **vars(r)))
+            if not len(rows[l]):
+                continue
+            block = _pair_block(K, w, k, rows[k], l, rows[l], rows.__getitem__)
+            indices = itertools.product(range(len(rows[k])), range(len(rows[l])))
+            for (i, j), nc, r, z in zip(indices, *(x.tolist() for x in block)):
+                report.pairs.append(PairRecord(k, i, l, j, nc, r, z, 0 in (k, l)))
     report.aggregate = max((p.residual for p in report.pairs), default=0.0)
     return report
 

@@ -20,6 +20,15 @@ matrix N_k = D^T W_k D is sparse and positive definite.  One factorization
 of it projects X_k W_k-orthogonally off im d_{k-1}; a Cholesky factor of the
 Gram matrix of the result then W_k-orthonormalizes it, keeping class order.
 
+What does not depend on the weights is built once per complex and kept in
+``_Operators``: the float coboundaries d_k, the exact-span columns D_k, the
+transpose of each (a view sharing its arrays, so no product transposes
+again), the sparsity pattern of N_k with the source simplex and sign of
+each off-diagonal entry (so N_k for new weights is a gather and one
+bincount, no sparse product), and the cocycles X_k.  What depends on the
+weights is kept next to it: a bounded cache of bases per (degree, w_k) and
+the factor of N_k for the latest w_k of each degree.
+
 What ``tolerance`` certifies: :func:`harmonic_basis` raises
 :class:`NumericalError` when the reciprocal condition of that Gram matrix is
 at most ``tol`` (the projected cocycles are numerically dependent), and
@@ -83,6 +92,11 @@ class MetricWeights:
     by_degree: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        # float64 throughout, so that equal weights have equal bytes: the
+        # caches of this module key on them
+        object.__setattr__(
+            self, "by_degree", tuple(np.asarray(w, dtype=np.float64) for w in self.by_degree)
+        )
         for k, w in enumerate(self.by_degree):
             if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0)):
                 raise ValueError(f"degree-{k} weights must be finite and strictly positive")
@@ -98,7 +112,7 @@ class MetricWeights:
 
 def weights_from_arrays(K: SimplicialComplex, arrays) -> MetricWeights:
     try:
-        w = MetricWeights(tuple(np.asarray(a, dtype=np.float64) for a in arrays))
+        w = MetricWeights(tuple(arrays))
     except TypeError as exc:
         raise ValueError(f"expected one list of weights per degree ({exc})") from None
     _check_weights(K, w)
@@ -149,10 +163,46 @@ class _Split:
     gram_rcond: float
 
 
+class _NormalMatrix:
+    """N_k = D^T W_k D for any w_k, from a pattern built once per complex.
+
+    D has entries +-1, and two distinct (k-1)-simplices lie in at most one
+    common k-simplex.  So every off-diagonal entry of N_k is one term
+    D_ri w_r D_rj = +-w_r, and the diagonal entry of column i sums w_r over
+    the k-simplices r that contain i.  One symbolic product, with row r of
+    D scaled by r + 1, gives the CSC pattern and the source row and sign of
+    every off-diagonal entry.  The values are then bitwise those of the
+    product D^T (W_k D): the same terms, each diagonal summed in row order.
+    """
+
+    def __init__(self, D: sp.csc_matrix):
+        coded = sp.csc_matrix((D.data * (D.indices + 1), D.indices, D.indptr), D.shape)
+        pattern = (D.T @ coded).tocsc()
+        self.size = D.shape[1]
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        columns = np.repeat(np.arange(self.size, dtype=np.int32), np.diff(pattern.indptr))
+        self.diagonal = np.flatnonzero(pattern.indices == columns).astype(np.int32)
+        self.source = np.abs(pattern.data).astype(np.int32) - 1
+        self.sign = np.sign(pattern.data).astype(np.int8)
+        self.source[self.diagonal] = 0
+        self.sign[self.diagonal] = 0
+        # the row and column of every stored entry of D, in column order
+        self.entry_rows = D.indices
+        self.entry_columns = np.repeat(np.arange(self.size, dtype=np.int32), np.diff(D.indptr))
+
+    def at(self, wk: np.ndarray) -> sp.csc_matrix:
+        data = self.sign * wk[self.source]
+        data[self.diagonal] = np.bincount(
+            self.entry_columns, weights=wk[self.entry_rows], minlength=self.size
+        )
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
+
+
 class _Operators:
     """What one complex needs for every weight: float coboundaries, the
-    exact-span columns D and the cocycles per degree, plus the bounded cache
-    of per-(degree, w_k) splits."""
+    exact-span columns D, both with their transposes, the pattern of N_k and
+    the cocycles per degree, plus the bounded cache of per-(degree, w_k)
+    splits and the latest factor of N_k per degree."""
 
     def __init__(self, K: SimplicialComplex):
         red = cohomology_reduction(K)
@@ -162,6 +212,10 @@ class _Operators:
         self.exact_span = (None,) + tuple(
             self.d[k - 1][:, red.independent[k - 1]].tocsc() for k in range(1, n + 1)
         )
+        # transposes taken once; each shares the arrays of its matrix
+        self.d_T = tuple(d.T for d in self.d)
+        self.exact_span_T = (None,) + tuple(D.T for D in self.exact_span[1:])
+        self.normal = (None,) + tuple(_NormalMatrix(D) for D in self.exact_span[1:])
         self.independent = red.independent
         self.cocycles = tuple(X.astype(np.float64) for X in red.cocycles)
         self.splits: OrderedDict[tuple[int, bytes], _Split] = OrderedDict()
@@ -183,11 +237,11 @@ def laplacian(K: SimplicialComplex, w: MetricWeights, k: int) -> sp.csr_matrix:
     m = len(w.degree(k))
     out = sp.csr_matrix((m, m))
     if k < len(ops.d):
-        d = ops.d[k]
-        out = out + sp.diags(1.0 / w.degree(k)) @ d.T @ sp.diags(w.degree(k + 1)) @ d
+        d, d_T = ops.d[k], ops.d_T[k]
+        out = out + sp.diags(1.0 / w.degree(k)) @ d_T @ sp.diags(w.degree(k + 1)) @ d
     if k > 0:
-        d = ops.d[k - 1]
-        out = out + d @ sp.diags(1.0 / w.degree(k - 1)) @ d.T @ sp.diags(w.degree(k))
+        d, d_T = ops.d[k - 1], ops.d_T[k - 1]
+        out = out + d @ sp.diags(1.0 / w.degree(k - 1)) @ d_T @ sp.diags(w.degree(k))
     return out.tocsr()
 
 
@@ -229,10 +283,8 @@ def _normal_factor(ops: _Operators, k: int, wk: np.ndarray) -> spla.SuperLU | No
     if held is not None and held[0] == key:
         return held[1]
     ops.factors.pop(k, None)
-    D = ops.exact_span[k]
-    N = (D.T @ sp.diags(wk) @ D).tocsc()
     factor = spla.splu(
-        N,
+        ops.normal[k].at(wk),
         permc_spec="MMD_AT_PLUS_A",
         options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
     )
@@ -246,8 +298,7 @@ def _exact_part(ops: _Operators, k: int, wk: np.ndarray, X: np.ndarray) -> np.nd
     factor = _normal_factor(ops, k, wk)
     if factor is None:
         return np.zeros_like(X)
-    D = ops.exact_span[k]
-    return D @ factor.solve(np.asarray(D.T @ (wk * X.T).T))
+    return ops.exact_span[k] @ factor.solve(ops.exact_span_T[k] @ (wk * X.T).T)
 
 
 def _orthonormalize(X: np.ndarray, wk: np.ndarray) -> np.ndarray:
@@ -291,11 +342,9 @@ def _certified_residual(ops: _Operators, w: MetricWeights, k: int, H: np.ndarray
     wk = w.degree(k)[:, None]
     out = np.zeros_like(H)
     if k < len(ops.d):
-        d = ops.d[k]
-        out += (d.T @ (w.degree(k + 1)[:, None] * (d @ H))) / wk
+        out += (ops.d_T[k] @ (w.degree(k + 1)[:, None] * (ops.d[k] @ H))) / wk
     if k > 0:
-        d = ops.d[k - 1]
-        out += d @ ((d.T @ (wk * H)) / w.degree(k - 1)[:, None])
+        out += ops.d[k - 1] @ ((ops.d_T[k - 1] @ (wk * H)) / w.degree(k - 1)[:, None])
     defect = np.sqrt(np.sum(wk * out**2, axis=0))
     size = np.sqrt(np.sum(wk * H**2, axis=0))
     residual = float(np.max(defect / size))
@@ -366,7 +415,7 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
     r = len(J)
     W = w.degree(j - 1)
     WJ = W[J]
-    D = ops.exact_span[j]
+    D, D_T = ops.exact_span[j], ops.exact_span_T[j]
     wj = w.degree(j)
     N_factor = _normal_factor(ops, j, wj)
     H = harmonic_basis(K, w, j - 1).vectors
@@ -378,7 +427,7 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
         return WJ * c - (W * kernel_part)[J]
 
     def normal(c):
-        return D.T @ (wj * (D @ c))
+        return D_T @ (wj * (D @ c))
 
     if r == 1:
         one = np.ones(1)

@@ -7,6 +7,7 @@ import scipy.linalg
 from hodgeform.complexes import Cochain, build_complex, product_complex, sphere, torus
 from hodgeform.cup import cup
 from hodgeform.formality import (
+    ZERO_PRODUCT_RTOL,
     SearchConfig,
     formality_residual,
     norm_constancy,
@@ -17,7 +18,9 @@ from hodgeform.errors import NumericalError
 from hodgeform.hodge import (
     MetricWeights,
     harmonic_basis,
+    harmonic_projection,
     laplacian,
+    norm,
     random_weights,
     unit_weights,
 )
@@ -293,6 +296,71 @@ def test_report_records_equal_pair_residual_bitwise(tori, surfaces):
             got = (p.residual, p.product_norm, p.zero_product, p.unit_pair)
             want = (r.residual, r.product_norm, r.zero_product, r.unit_pair)
             assert got == want, (K.name, dataclasses.asdict(p))
+
+
+def per_pair_records(K, w):
+    """Independent per-pair route: for every ordered basis pair, cup, then
+    harmonic_projection and norm one product at a time, in the report's
+    record order."""
+    n = K.dimension
+    bases = [harmonic_basis(K, w, k) for k in range(n + 1)]
+    records = []
+    for k in range(n + 1):
+        for l in range(n + 1 - k):
+            for i, a in enumerate(bases[k].cochains):
+                for j, b in enumerate(bases[l].cochains):
+                    c = cup(K, a, b)
+                    nc = norm(w, c.degree, c.values)
+                    unit = k == 0 or l == 0
+                    zero = not unit and nc <= (
+                        ZERO_PRODUCT_RTOL * norm(w, k, a.values) * norm(w, l, b.values)
+                    )
+                    residual = 0.0
+                    if not (unit or zero):
+                        h = harmonic_projection(K, w, c, bases[k + l]).values
+                        residual = norm(w, c.degree, c.values - h) / nc
+                    records.append((k, i, l, j, nc, residual, zero, unit))
+    return records
+
+
+def test_report_matches_per_pair_oracle(tori, s2xs2, surfaces):
+    # residuals at round-off (torus products are harmonic) have no relative
+    # digits, hence the absolute floor
+    close = lambda got, want: got == pytest.approx(want, rel=1e-12, abs=1e-14)
+    for K in (tori[2], tori[3], s2xs2, surfaces[2]):
+        for w in (unit_weights(K), random_weights(K, 0), random_weights(K, 3)):
+            report = formality_residual(K, w)
+            want = per_pair_records(K, w)
+            got = [
+                (p.degree_a, p.index_a, p.degree_b, p.index_b,
+                 p.product_norm, p.residual, p.zero_product, p.unit_pair)
+                for p in report.pairs
+            ]
+            assert [g[:4] + g[6:] for g in got] == [r[:4] + r[6:] for r in want], K.name
+            for g, r in zip(got, want):
+                assert close(g[4], r[4]) and close(g[5], r[5]), (K.name, g, r)
+            assert report.aggregate == max(p.residual for p in report.pairs)
+            for record in report.norm_constancy:
+                a = harmonic_basis(K, w, record.degree).cochains[record.index]
+                assert close(record.variation, _norm_constancy_by_vertex(K, w, a)), K.name
+
+
+def test_warm_and_fresh_complexes_agree_bitwise(s2xs2):
+    # every per-complex structure (operators, factors, cached bases) must
+    # leave a report exactly as a freshly built complex gives it
+    K = s2xs2
+    base = random_weights(K, 11)
+    formality_residual(K, base)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        k = int(rng.integers(K.dimension + 1))
+        scaled = base.degree(k).copy()
+        scaled[rng.integers(len(scaled))] *= float(np.exp(rng.choice([-0.5, 0.5])))
+        candidate = base.replace(k, scaled)
+        fresh = product_complex(sphere(2), sphere(2))
+        assert formality_residual(K, candidate).to_dict() == formality_residual(
+            fresh, candidate
+        ).to_dict()
 
 
 def test_report_lists_every_ordered_pair_once_in_sorted_order(tori):

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from hodgeform.complexes import (
     Cochain,
@@ -8,7 +11,9 @@ from hodgeform.complexes import (
     build_complex,
     sphere,
     surface,
+    torus,
 )
+from hodgeform import hodge
 from hodgeform.errors import NumericalError
 from hodgeform.hodge import (
     MetricWeights,
@@ -56,6 +61,42 @@ def test_weights_validation(tori):
         MetricWeights((np.array([1.0, -1.0]),))
     with pytest.raises(ValueError):
         MetricWeights((np.array([1.0, 0.0]),))
+
+
+def test_weights_of_any_dtype_are_kept_as_float64(tori):
+    # the per-complex caches key on the weights' bytes: an int64 vector with
+    # the bytes of a float64 one must not be served the float vector's basis
+    K = tori[2]
+    wf = random_weights(K, 0)
+    wi = MetricWeights(tuple(a.view(np.int64) for a in wf.by_degree))
+    assert all(a.dtype == np.float64 for a in wi.by_degree)
+    harmonic_basis(K, wf, 1)
+    warm = harmonic_basis(K, wi, 1)
+    fresh = harmonic_basis(torus(2), wi, 1)
+    assert np.array_equal(warm.vectors, fresh.vectors)
+    assert warm.residual == fresh.residual
+    ints = MetricWeights(tuple(np.ones(K.simplex_count(k), dtype=np.int64) for k in range(3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        L = laplacian(K, ints, 1)
+    assert np.allclose(L.toarray(), laplacian(K, unit_weights(K), 1).toarray())
+
+
+def test_normal_matrix_pattern_matches_the_dense_product(small_zoo):
+    # N_k is filled from a pattern built once per complex; it must equal
+    # D^T W_k D for any weights
+    for name, K in small_zoo.items():
+        w = random_weights(K, 2)
+        ops = hodge._operators(K)
+        for k in range(1, K.dimension + 1):
+            D = ops.exact_span[k]
+            got = ops.normal[k].at(w.degree(k)).toarray()
+            dense = D.toarray()
+            want = dense.T @ (w.degree(k)[:, None] * dense)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0, err_msg=f"{name} {k}")
+            # and bitwise the sparse product D^T (W D), same terms in the same order
+            product = D.T @ (sp.diags(w.degree(k)) @ D)
+            assert np.array_equal(got, product.toarray()), (name, k)
 
 
 def test_vertex_laplacian_of_circle_is_graph_laplacian(spheres):
@@ -353,9 +394,6 @@ def test_projection_onto_an_empty_harmonic_space(spheres):
 def test_spectral_gaps_project_only_with_certified_bases(monkeypatch):
     # every Gram matrix now reads as singular, so no basis passes the
     # certificate and the gaps cannot be computed from one
-    from hodgeform import hodge
-    from hodgeform.complexes import torus
-
     monkeypatch.setattr(hodge, "_rcond", lambda gram: 0.0)
     K = torus(2)
     with pytest.raises(NumericalError, match="Gram matrix"):
