@@ -36,6 +36,7 @@ from .hodge import (
     MetricWeights,
     harmonic_basis,
     harmonic_projection,
+    memoized,
     norm,
     unit_weights,
 )
@@ -233,24 +234,52 @@ def formality_residual(
     index_b), norm records by (degree, index); the aggregate is the maximum
     residual over the pair records.  The pairs of each degree pair (k, l)
     are evaluated as one block, the norms of each degree in one product.
+
+    Every basis is certified by :func:`harmonic_basis` on every call.  The
+    basis rows and norm records of degree k (which read w_k) and the pair
+    records of (k, l) (which read w_k, w_l and w_{k+l}) then come from the
+    per-complex memo of :mod:`hodgeform.hodge`, so a candidate that moves
+    one degree recomputes only what reads that degree.
     """
     n = K.dimension
-    rows = [_rows(harmonic_basis(K, w, k, tol).vectors.T) for k in range(n + 1)]
+    bases = [harmonic_basis(K, w, k, tol).vectors for k in range(n + 1)]
+    weight_bytes = [w.degree(k).tobytes() for k in range(n + 1)]
+    norms = [
+        memoized(K, "rows", (k,), weight_bytes, lambda: _norm_entry(K, w, k, bases[k]))
+        for k in range(n + 1)
+    ]
+    rows = [entry[0] for entry in norms]
     report = FormalityReport(aggregate=0.0, tolerance=tol)
     for k in range(n + 1):
         if not len(rows[k]):
             continue
-        variation = _norm_variation(K, w, k, rows[k]).tolist()
-        report.norm_constancy += [NormRecord(k, i, v) for i, v in enumerate(variation)]
+        report.norm_constancy += norms[k][1]
         for l in range(n + 1 - k):
-            if not len(rows[l]):
-                continue
-            block = _pair_block(K, w, k, rows[k], l, rows[l], rows.__getitem__)
-            indices = itertools.product(range(len(rows[k])), range(len(rows[l])))
-            for (i, j), nc, r, z in zip(indices, *(x.tolist() for x in block)):
-                report.pairs.append(PairRecord(k, i, l, j, nc, r, z, 0 in (k, l)))
+            if len(rows[l]):
+                report.pairs += memoized(
+                    K, "pairs", (k, l, k + l), weight_bytes,
+                    lambda: _pair_records(K, w, k, l, rows),
+                )
     report.aggregate = max((p.residual for p in report.pairs), default=0.0)
     return report
+
+
+def _norm_entry(K, w, k, H) -> tuple[np.ndarray, tuple[NormRecord, ...]]:
+    # the read-only rows of the degree-k basis and their norm records
+    rows = _rows(H.T)
+    rows.flags.writeable = False
+    variation = _norm_variation(K, w, k, rows).tolist()
+    return rows, tuple(NormRecord(k, i, v) for i, v in enumerate(variation))
+
+
+def _pair_records(K, w, k, l, rows) -> tuple[PairRecord, ...]:
+    # the records of every pair of a degree-k and a degree-l basis row
+    block = _pair_block(K, w, k, rows[k], l, rows[l], rows.__getitem__)
+    indices = itertools.product(range(len(rows[k])), range(len(rows[l])))
+    return tuple(
+        PairRecord(k, i, l, j, nc, r, z, 0 in (k, l))
+        for (i, j), nc, r, z in zip(indices, *(x.tolist() for x in block))
+    )
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,19 @@ transpose of each (a view sharing its arrays, so no product transposes
 again), the sparsity pattern of N_k with the source simplex and sign of
 each off-diagonal entry (so N_k for new weights is a gather and one
 bincount, no sparse product), and the cocycles X_k.  What depends on the
-weights is kept next to it: a bounded cache of bases per (degree, w_k) and
-the factor of N_k for the latest w_k of each degree.
+weights is kept next to it, in two places.  The factor of N_k is kept for
+the latest w_k of each degree only, since it can be far larger than what it
+produces.  Everything else goes through one bounded LRU memo per complex,
+``_Operators.memo``, keyed by value: a tag, the degrees the value reads and
+the bytes of those degrees' weight vectors.  The split of degree k is keyed
+by w_k; its certified residual by (w_{k-1}, w_k, w_{k+1}), because
+||Delta_k h||_w reads all three; :mod:`hodgeform.formality` keys its basis
+rows and norm records by w_k and its pair blocks by (w_k, w_l, w_{k+l}).  A
+value enters the memo only when its build returned, so only results that
+passed their certificates are kept, and each is computed by the same code
+from the same inputs as without the memo.  The memo holds at most
+_MEMO_SIZE entries; a search move changes one degree, so the entries of the
+degrees it leaves alone are hits.
 
 What ``tolerance`` certifies: :func:`harmonic_basis` raises
 :class:`NumericalError` when the reciprocal condition of that Gram matrix is
@@ -76,13 +87,12 @@ RESIDUAL_LIMIT = 1e-8
 # Largest accepted pairwise inner product of the three Hodge parts of a
 # cochain c, relative to ||c||_w^2.
 _ORTHOGONALITY_LIMIT = 1e-8
-# Bases kept per complex, keyed by (degree, that degree's weights).  A
-# search move changes one degree, so the other degrees hit the entries of
-# the current weights; 16 holds the current and the candidate weights of
-# every degree up to dimension 4 with room to spare.  Factors of N_k are
-# kept apart from the bases, one per degree (for the latest w_k), since
-# they can be far larger than the bases.
-_SPLIT_CACHE_SIZE = 16
+# Entries of the per-complex memo.  One weight state of a dimension-4
+# complex fills 30: 5 splits, 5 residuals, 5 basis-row entries and 15 pair
+# blocks.  64 holds two such states, the current weights and a candidate.
+# Factors of N_k stay out of the memo, one per degree (for the latest w_k):
+# an N_3 factor on torus:4 has 1.25 M fill.
+_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,22 +102,31 @@ class MetricWeights:
     by_degree: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        # float64 throughout, so that equal weights have equal bytes: the
-        # caches of this module key on them
         object.__setattr__(
-            self, "by_degree", tuple(np.asarray(w, dtype=np.float64) for w in self.by_degree)
+            self, "by_degree", tuple(_checked(k, w) for k, w in enumerate(self.by_degree))
         )
-        for k, w in enumerate(self.by_degree):
-            if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0)):
-                raise ValueError(f"degree-{k} weights must be finite and strictly positive")
 
     def degree(self, k: int) -> np.ndarray:
         return self.by_degree[k]
 
     def replace(self, k: int, values: np.ndarray) -> "MetricWeights":
+        """These weights with degree k's vector replaced.  Only the new
+        vector is checked and converted; the other degrees keep their
+        arrays, which were checked when they were first stored."""
         parts = list(self.by_degree)
-        parts[k] = values
-        return MetricWeights(tuple(parts))
+        parts[k] = _checked(k, values)
+        out = object.__new__(MetricWeights)
+        object.__setattr__(out, "by_degree", tuple(parts))
+        return out
+
+
+def _checked(k: int, values) -> np.ndarray:
+    # float64 throughout, so that equal weights have equal bytes: the memo
+    # of this module keys on them
+    w = np.asarray(values, dtype=np.float64)
+    if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0)):
+        raise ValueError(f"degree-{k} weights must be finite and strictly positive")
+    return w
 
 
 def weights_from_arrays(K: SimplicialComplex, arrays) -> MetricWeights:
@@ -201,8 +220,8 @@ class _NormalMatrix:
 class _Operators:
     """What one complex needs for every weight: float coboundaries, the
     exact-span columns D, both with their transposes, the pattern of N_k and
-    the cocycles per degree, plus the bounded cache of per-(degree, w_k)
-    splits and the latest factor of N_k per degree."""
+    the cocycles per degree, plus the bounded memo of weight-dependent
+    results and the latest factor of N_k per degree."""
 
     def __init__(self, K: SimplicialComplex):
         red = cohomology_reduction(K)
@@ -218,13 +237,35 @@ class _Operators:
         self.normal = (None,) + tuple(_NormalMatrix(D) for D in self.exact_span[1:])
         self.independent = red.independent
         self.cocycles = tuple(X.astype(np.float64) for X in red.cocycles)
-        self.splits: OrderedDict[tuple[int, bytes], _Split] = OrderedDict()
+        self.entries: OrderedDict[tuple, object] = OrderedDict()
         # degree -> (w_k bytes, factor of N_k for those weights)
         self.factors: dict[int, tuple[bytes, spla.SuperLU]] = {}
+
+    def memo(self, key: tuple, build):
+        """The value under ``key``, else ``build()``, kept under ``key`` when
+        the build returns (a build that raises stores nothing).  The least
+        recently used entry goes beyond _MEMO_SIZE."""
+        if key in self.entries:
+            self.entries.move_to_end(key)
+            return self.entries[key]
+        value = self.entries[key] = build()
+        if len(self.entries) > _MEMO_SIZE:
+            self.entries.popitem(last=False)
+        return value
 
 
 def _operators(K: SimplicialComplex) -> _Operators:
     return K.derived("hodge_operators", _Operators)
+
+
+def memoized(K: SimplicialComplex, tag: str, degrees: tuple[int, ...], weight_bytes, build):
+    """``build()`` through the memo of K, keyed by ``tag``, ``degrees`` and
+    the bytes of those degrees' weights, in that order.  ``degrees`` must
+    name every weight vector the value reads; ``weight_bytes[j]`` is
+    ``w.degree(j).tobytes()``, taken once per call by the caller since
+    several keys share it."""
+    key = (tag, degrees) + tuple(weight_bytes[j] for j in degrees)
+    return _operators(K).memo(key, build)
 
 
 def laplacian(K: SimplicialComplex, w: MetricWeights, k: int) -> sp.csr_matrix:
@@ -356,21 +397,6 @@ def _certified_residual(ops: _Operators, w: MetricWeights, k: int, H: np.ndarray
     return residual
 
 
-def _split(K: SimplicialComplex, w: MetricWeights, k: int) -> _Split:
-    """The degree-k split for w_k: from the per-complex cache, else built."""
-    ops = _operators(K)
-    wk = w.degree(k)
-    key = (k, wk.tobytes())
-    split = ops.splits.get(key)
-    if split is not None:
-        ops.splits.move_to_end(key)
-        return split
-    split = ops.splits[key] = _build_split(ops, k, wk)
-    if len(ops.splits) > _SPLIT_CACHE_SIZE:
-        ops.splits.popitem(last=False)
-    return split
-
-
 def harmonic_basis(
     K: SimplicialComplex, w: MetricWeights, k: int, tol: float = DEFAULT_TOL
 ) -> HarmonicBasis:
@@ -386,13 +412,19 @@ def harmonic_basis(
     if not 0 <= k <= K.dimension:
         raise ValueError(f"degree {k} out of range 0..{K.dimension}")
     _check_weights(K, w)
-    split = _split(K, w, k)
+    ops = _operators(K)
+    # the residual reads the weights of k and its neighbours, the split w_k
+    near = tuple(range(max(k - 1, 0), min(k + 1, K.dimension) + 1))
+    weight_bytes = {j: w.degree(j).tobytes() for j in near}
+    split = memoized(K, "split", (k,), weight_bytes, lambda: _build_split(ops, k, w.degree(k)))
     if split.gram_rcond <= tol:
         raise NumericalError(
             f"degree-{k} Gram matrix has reciprocal condition "
             f"{split.gram_rcond:.3e} <= tolerance {tol:.3e}"
         )
-    residual = _certified_residual(_operators(K), w, k, split.vectors)
+    residual = memoized(
+        K, "residual", near, weight_bytes, lambda: _certified_residual(ops, w, k, split.vectors)
+    )
     return HarmonicBasis(k, split.vectors, residual, split.gram_rcond)
 
 

@@ -14,6 +14,7 @@ from hodgeform.formality import (
     pair_residual,
     search_formal_weights,
 )
+from hodgeform import hodge
 from hodgeform.errors import NumericalError
 from hodgeform.hodge import (
     MetricWeights,
@@ -346,13 +347,17 @@ def test_report_matches_per_pair_oracle(tori, s2xs2, surfaces):
 
 
 def test_warm_and_fresh_complexes_agree_bitwise(s2xs2):
-    # every per-complex structure (operators, factors, cached bases) must
-    # leave a report exactly as a freshly built complex gives it
+    # every per-complex structure (operators, factors, memo entries) must
+    # leave a report exactly as a freshly built complex gives it, also after
+    # a second base has evicted the first one's entries
     K = s2xs2
-    base = random_weights(K, 11)
+    first = base = random_weights(K, 11)
     formality_residual(K, base)
+    memo = hodge._operators(K).entries
     rng = np.random.default_rng(5)
-    for _ in range(50):
+    for step in range(60):
+        if step == 20:
+            base = random_weights(K, 12)
         k = int(rng.integers(K.dimension + 1))
         scaled = base.degree(k).copy()
         scaled[rng.integers(len(scaled))] *= float(np.exp(rng.choice([-0.5, 0.5])))
@@ -361,6 +366,23 @@ def test_warm_and_fresh_complexes_agree_bitwise(s2xs2):
         assert formality_residual(K, candidate).to_dict() == formality_residual(
             fresh, candidate
         ).to_dict()
+        assert len(memo) <= hodge._MEMO_SIZE
+    first_bytes = {a.tobytes() for a in first.by_degree}
+    assert not any(part in first_bytes for key in memo for part in key[2:])
+
+
+def test_pair_residual_takes_nothing_from_the_memo(tori):
+    # after a report has filled the memo for w, pair_residual on rotated
+    # basis vectors (not basis rows the memo holds) still matches the oracle
+    K = tori[2]
+    w = random_weights(K, 4)
+    formality_residual(K, w)
+    h0, h1 = harmonic_basis(K, w, 1).cochains
+    a = Cochain(1, (h0.values + h1.values) / np.sqrt(2.0))
+    b = Cochain(1, (h0.values - h1.values) / np.sqrt(2.0))
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = pair_residual(K, w, x, y).residual
+        assert abs(got - oracle_pair_residual(K, w, x, y)) < 1e-9
 
 
 def test_report_lists_every_ordered_pair_once_in_sorted_order(tori):

@@ -82,6 +82,31 @@ def test_weights_of_any_dtype_are_kept_as_float64(tori):
     assert np.allclose(L.toarray(), laplacian(K, unit_weights(K), 1).toarray())
 
 
+def test_replace_checks_and_converts_only_the_new_vector(tori):
+    K = tori[2]
+    w = random_weights(K, 0)
+    for bad in (np.nan, 0.0, -1.0):
+        values = np.ones(K.simplex_count(1))
+        values[3] = bad
+        with pytest.raises(ValueError, match="degree-1 weights must be finite and strictly positive"):
+            w.replace(1, values)
+    moved = w.replace(1, np.arange(1, K.simplex_count(1) + 1))
+    assert moved.degree(1).dtype == np.float64
+    assert np.array_equal(moved.degree(1), np.arange(1.0, K.simplex_count(1) + 1))
+    assert moved.degree(0) is w.degree(0) and moved.degree(2) is w.degree(2)
+
+
+def test_memo_hit_never_skips_the_residual_certificate(tori):
+    # the degree-1 split is a memo hit (it reads w_1 alone), but its
+    # residual reads w_2 too: with w_2 = 1e8 it is 2.99e-8, above the limit
+    K = tori[2]
+    w = unit_weights(K)
+    harmonic_basis(K, w, 1)
+    with pytest.raises(NumericalError, match="residual"):
+        harmonic_basis(K, w.replace(2, 1e8 * np.ones(K.simplex_count(2))), 1)
+    assert harmonic_basis(K, w, 1).residual <= hodge.RESIDUAL_LIMIT
+
+
 def test_normal_matrix_pattern_matches_the_dense_product(small_zoo):
     # N_k is filled from a pattern built once per complex; it must equal
     # D^T W_k D for any weights
