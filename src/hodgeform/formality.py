@@ -34,6 +34,7 @@ from .complexes import Cochain, SimplicialComplex
 from .hodge import (
     DEFAULT_TOL,
     MetricWeights,
+    _check_weights,
     harmonic_basis,
     harmonic_projection,
     memoized,
@@ -206,12 +207,18 @@ def norm_constancy(K: SimplicialComplex, w: MetricWeights, a: Cochain) -> float:
 
     The localized norm at a vertex averages w_sigma * a(sigma)^2 over the
     k-simplices containing it, weight-normalized; 0 means the cochain has
-    discretely constant length.
+    discretely constant length.  The cochain and the weights must match K.
     """
+    k = a.degree
+    if not 0 <= k <= K.dimension:
+        raise ValueError(f"degree {k} out of range 0..{K.dimension}")
+    if len(a.values) != K.simplex_count(k):
+        raise ValueError(f"a degree-{k} cochain needs {K.simplex_count(k)} values")
+    _check_weights(K, w)
     values = _rows(a.values)
     if not np.any(values):
         raise ValueError("norm constancy of the zero cochain is undefined")
-    return float(_norm_variation(K, w, a.degree, values)[0])
+    return float(_norm_variation(K, w, k, values)[0])
 
 
 def _norm_variation(K, w, k, A) -> np.ndarray:
@@ -243,9 +250,8 @@ def formality_residual(
     """
     n = K.dimension
     bases = [harmonic_basis(K, w, k, tol).vectors for k in range(n + 1)]
-    weight_bytes = [w.degree(k).tobytes() for k in range(n + 1)]
     norms = [
-        memoized(K, "rows", (k,), weight_bytes, lambda: _norm_entry(K, w, k, bases[k]))
+        memoized(K, w, "rows", (k,), lambda: _norm_entry(K, w, k, bases[k]))
         for k in range(n + 1)
     ]
     rows = [entry[0] for entry in norms]
@@ -257,8 +263,7 @@ def formality_residual(
         for l in range(n + 1 - k):
             if len(rows[l]):
                 report.pairs += memoized(
-                    K, "pairs", (k, l, k + l), weight_bytes,
-                    lambda: _pair_records(K, w, k, l, rows),
+                    K, w, "pairs", (k, l, k + l), lambda: _pair_records(K, w, k, l, rows)
                 )
     report.aggregate = max((p.residual for p in report.pairs), default=0.0)
     return report

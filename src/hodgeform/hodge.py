@@ -23,22 +23,21 @@ Gram matrix of the result then W_k-orthonormalizes it, keeping class order.
 What does not depend on the weights is built once per complex and kept in
 ``_Operators``: the float coboundaries d_k, the exact-span columns D_k, the
 transpose of each (a view sharing its arrays, so no product transposes
-again), the sparsity pattern of N_k with the source simplex and sign of
-each off-diagonal entry (so N_k for new weights is a gather and one
-bincount, no sparse product), and the cocycles X_k.  What depends on the
-weights is kept next to it, in two places.  The factor of N_k is kept for
-the latest w_k of each degree only, since it can be far larger than what it
-produces.  Everything else goes through one bounded LRU memo per complex,
-``_Operators.memo``, keyed by value: a tag, the degrees the value reads and
-the bytes of those degrees' weight vectors.  The split of degree k is keyed
-by w_k; its certified residual by (w_{k-1}, w_k, w_{k+1}), because
-||Delta_k h||_w reads all three; :mod:`hodgeform.formality` keys its basis
-rows and norm records by w_k and its pair blocks by (w_k, w_l, w_{k+l}).  A
-value enters the memo only when its build returned, so only results that
-passed their certificates are kept, and each is computed by the same code
-from the same inputs as without the memo.  The memo holds at most
-_MEMO_SIZE entries; a search move changes one degree, so the entries of the
-degrees it leaves alone are hits.
+again), the sparsity pattern of N_k with the source simplex and sign of each
+off-diagonal entry (so N_k for new weights is a gather and one bincount, no
+sparse product), and the cocycles X_k.  What depends on the weights is kept
+next to it, in two places, keyed by ``MetricWeights.keys``.  The factor of
+N_k is kept for the latest w_k of each degree only, since it can be far
+larger than what it produces.  Everything else goes through one bounded LRU
+memo per complex, ``_Operators.memo``, keyed by a tag, the degrees the value
+reads and those degrees' keys.  The split of degree k is keyed by w_k; its
+certified residual by (w_{k-1}, w_k, w_{k+1}), because ||Delta_k h||_w reads
+all three; :mod:`hodgeform.formality` keys its basis rows and norm records
+by w_k and its pair blocks by (w_k, w_l, w_{k+l}).  A value enters the memo
+only when its build returned, so only results that passed their certificates
+are kept, and each is computed by the same code from the same inputs as
+without the memo.  The memo holds at most _MEMO_SIZE entries; a search move
+changes one degree, so the entries of the degrees it leaves alone are hits.
 
 What ``tolerance`` certifies: :func:`harmonic_basis` raises
 :class:`NumericalError` when the reciprocal condition of that Gram matrix is
@@ -55,7 +54,7 @@ projects with, :func:`spectral_gaps` included, comes from
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -97,35 +96,43 @@ _MEMO_SIZE = 64
 
 @dataclass(frozen=True, eq=False)
 class MetricWeights:
-    """One positive weight per simplex, per degree."""
+    """One positive weight per simplex, per degree: read-only float64 copies,
+    each checked once.  ``keys[k]`` is the bytes of degree k's vector, taken
+    once; the memo and the factors of this module key on it."""
 
     by_degree: tuple[np.ndarray, ...]
+    keys: tuple[bytes, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "by_degree", tuple(_checked(k, w) for k, w in enumerate(self.by_degree))
-        )
+        parts = tuple(_checked(k, w) for k, w in enumerate(self.by_degree))
+        object.__setattr__(self, "by_degree", parts)
+        object.__setattr__(self, "keys", tuple(a.tobytes() for a in parts))
 
     def degree(self, k: int) -> np.ndarray:
         return self.by_degree[k]
 
     def replace(self, k: int, values: np.ndarray) -> "MetricWeights":
-        """These weights with degree k's vector replaced.  Only the new
-        vector is checked and converted; the other degrees keep their
-        arrays, which were checked when they were first stored."""
-        parts = list(self.by_degree)
-        parts[k] = _checked(k, values)
+        """These weights with degree k's vector replaced by one of the same
+        length.  Only the new vector is checked and copied; the other
+        degrees keep their arrays and keys."""
+        if not 0 <= k < len(self.by_degree):
+            raise ValueError(f"degree {k} out of range 0..{len(self.by_degree) - 1}")
+        new = _checked(k, values)
+        if new.shape != self.by_degree[k].shape:
+            raise ValueError(f"degree-{k} weights need {self.by_degree[k].size} entries")
         out = object.__new__(MetricWeights)
-        object.__setattr__(out, "by_degree", tuple(parts))
+        object.__setattr__(out, "by_degree", self.by_degree[:k] + (new,) + self.by_degree[k + 1 :])
+        object.__setattr__(out, "keys", self.keys[:k] + (new.tobytes(),) + self.keys[k + 1 :])
         return out
 
 
 def _checked(k: int, values) -> np.ndarray:
-    # float64 throughout, so that equal weights have equal bytes: the memo
-    # of this module keys on them
-    w = np.asarray(values, dtype=np.float64)
+    # a float64 copy, so that equal weights have equal keys and no caller
+    # array can change a vector after its check
+    w = np.array(values, dtype=np.float64)
     if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0)):
         raise ValueError(f"degree-{k} weights must be finite and strictly positive")
+    w.flags.writeable = False
     return w
 
 
@@ -238,7 +245,7 @@ class _Operators:
         self.independent = red.independent
         self.cocycles = tuple(X.astype(np.float64) for X in red.cocycles)
         self.entries: OrderedDict[tuple, object] = OrderedDict()
-        # degree -> (w_k bytes, factor of N_k for those weights)
+        # degree -> (key of w_k, factor of N_k for those weights)
         self.factors: dict[int, tuple[bytes, spla.SuperLU]] = {}
 
     def memo(self, key: tuple, build):
@@ -258,13 +265,11 @@ def _operators(K: SimplicialComplex) -> _Operators:
     return K.derived("hodge_operators", _Operators)
 
 
-def memoized(K: SimplicialComplex, tag: str, degrees: tuple[int, ...], weight_bytes, build):
+def memoized(K: SimplicialComplex, w: MetricWeights, tag: str, degrees: tuple[int, ...], build):
     """``build()`` through the memo of K, keyed by ``tag``, ``degrees`` and
-    the bytes of those degrees' weights, in that order.  ``degrees`` must
-    name every weight vector the value reads; ``weight_bytes[j]`` is
-    ``w.degree(j).tobytes()``, taken once per call by the caller since
-    several keys share it."""
-    key = (tag, degrees) + tuple(weight_bytes[j] for j in degrees)
+    ``w.keys`` of those degrees, in that order.  ``degrees`` must name every
+    weight vector the value reads."""
+    key = (tag, degrees) + tuple(w.keys[j] for j in degrees)
     return _operators(K).memo(key, build)
 
 
@@ -312,20 +317,20 @@ class HarmonicBasis:
         return [Cochain(self.degree, self.vectors[:, i]) for i in range(self.cardinality)]
 
 
-def _normal_factor(ops: _Operators, k: int, wk: np.ndarray) -> spla.SuperLU | None:
+def _normal_factor(ops: _Operators, w: MetricWeights, k: int) -> spla.SuperLU | None:
     """Sparse LU of N_k = D^T W_k D (positive definite, so diagonal pivots
     on a symmetric fill-reducing order), or None when im d_{k-1} = 0.
 
     Only the factor for the latest w_k of each degree is kept."""
     if k == 0 or not ops.exact_span[k].shape[1]:
         return None
-    key = wk.tobytes()
+    key = w.keys[k]
     held = ops.factors.get(k)
     if held is not None and held[0] == key:
         return held[1]
     ops.factors.pop(k, None)
     factor = spla.splu(
-        ops.normal[k].at(wk),
+        ops.normal[k].at(w.degree(k)),
         permc_spec="MMD_AT_PLUS_A",
         options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
     )
@@ -333,13 +338,13 @@ def _normal_factor(ops: _Operators, k: int, wk: np.ndarray) -> spla.SuperLU | No
     return factor
 
 
-def _exact_part(ops: _Operators, k: int, wk: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _exact_part(ops: _Operators, w: MetricWeights, k: int, X: np.ndarray) -> np.ndarray:
     """W_k-orthogonal projection of X (one cochain or a block of columns)
     onto im d_{k-1}, D N_k^{-1} D^T W_k X; zeros when im d_{k-1} = 0."""
-    factor = _normal_factor(ops, k, wk)
+    factor = _normal_factor(ops, w, k)
     if factor is None:
         return np.zeros_like(X)
-    return ops.exact_span[k] @ factor.solve(ops.exact_span_T[k] @ (wk * X.T).T)
+    return ops.exact_span[k] @ factor.solve(ops.exact_span_T[k] @ (w.degree(k) * X.T).T)
 
 
 def _orthonormalize(X: np.ndarray, wk: np.ndarray) -> np.ndarray:
@@ -358,11 +363,11 @@ def _rcond(gram: np.ndarray) -> float:
     return float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else 0.0
 
 
-def _build_split(ops: _Operators, k: int, wk: np.ndarray) -> _Split:
-    X = ops.cocycles[k]
+def _build_split(ops: _Operators, w: MetricWeights, k: int) -> _Split:
+    X, wk = ops.cocycles[k], w.degree(k)
     if not X.shape[1]:
         return _Split(np.zeros((len(wk), 0)), 1.0)
-    X = X - _exact_part(ops, k, wk, X)
+    X = X - _exact_part(ops, w, k, X)
     rcond = _rcond(X.T @ (wk[:, None] * X))
     try:
         H = _orthonormalize(X, wk)
@@ -415,15 +420,14 @@ def harmonic_basis(
     ops = _operators(K)
     # the residual reads the weights of k and its neighbours, the split w_k
     near = tuple(range(max(k - 1, 0), min(k + 1, K.dimension) + 1))
-    weight_bytes = {j: w.degree(j).tobytes() for j in near}
-    split = memoized(K, "split", (k,), weight_bytes, lambda: _build_split(ops, k, w.degree(k)))
+    split = memoized(K, w, "split", (k,), lambda: _build_split(ops, w, k))
     if split.gram_rcond <= tol:
         raise NumericalError(
             f"degree-{k} Gram matrix has reciprocal condition "
             f"{split.gram_rcond:.3e} <= tolerance {tol:.3e}"
         )
     residual = memoized(
-        K, "residual", near, weight_bytes, lambda: _certified_residual(ops, w, k, split.vectors)
+        K, w, "residual", near, lambda: _certified_residual(ops, w, k, split.vectors)
     )
     return HarmonicBasis(k, split.vectors, residual, split.gram_rcond)
 
@@ -449,13 +453,13 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
     WJ = W[J]
     D, D_T = ops.exact_span[j], ops.exact_span_T[j]
     wj = w.degree(j)
-    N_factor = _normal_factor(ops, j, wj)
+    N_factor = _normal_factor(ops, w, j)
     H = harmonic_basis(K, w, j - 1).vectors
 
     def coexact_mass(c):
         x = np.zeros(len(W))
         x[J] = c
-        kernel_part = H @ (H.T @ (W * x)) + _exact_part(ops, j - 1, W, x)
+        kernel_part = H @ (H.T @ (W * x)) + _exact_part(ops, w, j - 1, x)
         return WJ * c - (W * kernel_part)[J]
 
     def normal(c):
@@ -535,7 +539,7 @@ def hodge_decompose(
     _check_weights(K, w)
     values = np.asarray(c.values, dtype=np.float64)
     h = harmonic_projection(K, w, Cochain(k, values)).values
-    exact = _exact_part(_operators(K), k, w.degree(k), values - h)
+    exact = _exact_part(_operators(K), w, k, values - h)
     coexact = values - h - exact
 
     scale = norm(w, k, values) or 1.0

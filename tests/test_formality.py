@@ -245,6 +245,17 @@ def test_norm_constancy_rejects_zero(tori):
         norm_constancy(tori[2], unit_weights(tori[2]), Cochain(1, np.zeros(27)))
 
 
+def test_norm_constancy_checks_its_input_against_the_complex(tori):
+    K = tori[2]
+    w = unit_weights(K)
+    with pytest.raises(ValueError, match="degree 5 out of range 0..2"):
+        norm_constancy(K, w, Cochain(5, np.ones(3)))
+    with pytest.raises(ValueError, match="degree-1 cochain needs 27 values"):
+        norm_constancy(K, w, Cochain(1, np.ones(5)))
+    with pytest.raises(ValueError, match="weight vectors"):
+        norm_constancy(K, unit_weights(tori[1]), Cochain(1, np.ones(27)))
+
+
 # ---------------------------------------------------------------------------
 # whole-complex reports
 
@@ -367,8 +378,7 @@ def test_warm_and_fresh_complexes_agree_bitwise(s2xs2):
             fresh, candidate
         ).to_dict()
         assert len(memo) <= hodge._MEMO_SIZE
-    first_bytes = {a.tobytes() for a in first.by_degree}
-    assert not any(part in first_bytes for key in memo for part in key[2:])
+    assert not any(part in first.keys for key in memo for part in key[2:])
 
 
 def test_pair_residual_takes_nothing_from_the_memo(tori):

@@ -96,6 +96,45 @@ def test_replace_checks_and_converts_only_the_new_vector(tori):
     assert moved.degree(0) is w.degree(0) and moved.degree(2) is w.degree(2)
 
 
+def test_weights_are_read_only_copies_of_the_callers_arrays(tori):
+    K = tori[2]
+    made = []
+    for make in (MetricWeights, lambda arrays: weights_from_arrays(K, arrays)):
+        arrays = tuple(np.ones(K.simplex_count(k)) for k in range(3))
+        made.append(make(arrays))
+        arrays[1][0] = -5.0
+        arrays[2][:] = np.nan
+        assert all(np.all(made[-1].degree(k) == 1.0) for k in range(3))
+    values = np.ones(K.simplex_count(1))
+    made.append(unit_weights(K).replace(1, values))
+    values[0] = -5.0
+    assert np.all(made[-1].degree(1) == 1.0)
+    for w in made + [unit_weights(K), random_weights(K, 0)]:
+        for k in range(3):
+            with pytest.raises(ValueError, match="read-only"):
+                w.degree(k)[0] = 2.0
+
+
+def test_replace_shares_the_untouched_degrees_and_keys(tori):
+    K = tori[2]
+    w = random_weights(K, 0)
+    moved = w.replace(1, 2.0 * w.degree(1))
+    for k in (0, 2):
+        assert moved.degree(k) is w.degree(k) and moved.keys[k] is w.keys[k]
+    for weights in (w, moved):
+        assert all(weights.keys[k] == weights.degree(k).tobytes() for k in range(3))
+
+
+def test_replace_rejects_a_degree_or_length_that_does_not_fit(tori):
+    K = tori[2]
+    w = unit_weights(K)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=f"degree {k} out of range 0..2"):
+            w.replace(k, np.ones(K.simplex_count(2)))
+    with pytest.raises(ValueError, match="degree-1 weights need 27 entries"):
+        w.replace(1, np.ones(5))
+
+
 def test_memo_hit_never_skips_the_residual_certificate(tori):
     # the degree-1 split is a memo hit (it reads w_1 alone), but its
     # residual reads w_2 too: with w_2 = 1e8 it is 2.99e-8, above the limit
