@@ -30,8 +30,6 @@ from .formality import (
     FormalityReport,
     SearchConfig,
     formality_residual,
-    norm_constancy,
-    pair_residual,
     search_formal_weights,
 )
 from .hodge import (
@@ -39,7 +37,6 @@ from .hodge import (
     MetricWeights,
     harmonic_basis,
     harmonic_projection,
-    hodge_decompose,
     laplacian,
     random_weights,
     spectral_gaps,
@@ -90,15 +87,12 @@ __all__ = [
     "harmonic_basis",
     "spectral_gaps",
     "harmonic_projection",
-    "hodge_decompose",
     "cup",
     "evaluate_on_fundamental_class",
     "IntersectionForm",
     "intersection_form",
     "FormalityReport",
     "SearchConfig",
-    "pair_residual",
-    "norm_constancy",
     "formality_residual",
     "search_formal_weights",
     "CohomologySummary",

@@ -30,35 +30,20 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import Cochain, SimplicialComplex
-from .hodge import (
-    DEFAULT_TOL,
-    MetricWeights,
-    _check_weights,
-    harmonic_basis,
-    harmonic_projection,
-    memoized,
-    norm,
-    unit_weights,
-)
+from .complexes import SimplicialComplex
+from .hodge import DEFAULT_TOL, MetricWeights, harmonic_basis, memoized, unit_weights
 
 __all__ = [
-    "PairResidual",
     "PairRecord",
     "NormRecord",
     "FormalityReport",
     "SearchConfig",
-    "pair_residual",
-    "norm_constancy",
     "formality_residual",
     "search_formal_weights",
 ]
 
 ZERO_PRODUCT_RTOL = 1e-12
 FORMAL_AGGREGATE_THRESHOLD = 1e-8
-# Largest accepted w-distance of a pair_residual input from the certified
-# harmonic span, relative to the input's own w-norm.
-_HARMONIC_GATE = 1e-7
 # The aggregate lies in [0, 1]; evaluations that are equal algebraically
 # differ by a few ulps, so the search counts only larger drops as progress.
 _ROUND_OFF = 1e-12
@@ -66,14 +51,6 @@ _ROUND_OFF = 1e-12
 _STEP = 0.5
 _MIN_STEP = 1e-3
 _IMPROVEMENT_TOL = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class PairResidual:
-    residual: float
-    zero_product: bool
-    product_norm: float
-    unit_pair: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,54 +83,6 @@ class FormalityReport:
         return asdict(self)
 
 
-def _require_harmonic(K, w, c: Cochain) -> None:
-    values = np.asarray(c.values, dtype=np.float64)
-    n = norm(w, c.degree, values)
-    if n == 0.0:
-        raise ValueError("zero cochain is not a harmonic input")
-    distance = norm(w, c.degree, values - harmonic_projection(K, w, c).values)
-    if distance > _HARMONIC_GATE * n:
-        raise ValueError(
-            f"input cochain of degree {c.degree} is not harmonic to tolerance "
-            f"(relative distance {distance / n:.3e} from the harmonic span)"
-        )
-
-
-def pair_residual(
-    K: SimplicialComplex,
-    w: MetricWeights,
-    a: Cochain,
-    b: Cochain,
-) -> PairResidual:
-    """Residual of the cup product of two harmonic cochains.
-
-    An input counts as harmonic when its w-distance from the span of the
-    certified harmonic basis of its degree is at most _HARMONIC_GATE times
-    its own w-norm; any other input raises ValueError, and a basis that
-    fails certification raises NumericalError.
-
-    Returns 0 with the zero-product flag when the product vanishes
-    identically relative to ||a|| ||b||, and an exact 0 with the unit flag
-    when one factor has degree 0 (ring-unit law).  Computed by the block
-    routine of :func:`formality_residual`, on a block of one pair.
-    """
-    _require_harmonic(K, w, a)
-    _require_harmonic(K, w, b)
-    k, l = a.degree, b.degree
-    if k + l > K.dimension:
-        raise ValueError(f"cup degree {k}+{l} exceeds the complex dimension {K.dimension}")
-    basis_rows = lambda p: _rows(harmonic_basis(K, w, p).vectors.T)
-    block = _pair_block(K, w, k, _rows(a.values), l, _rows(b.values), basis_rows)
-    product_norm, residual, zero = (x.item() for x in block)
-    return PairResidual(residual, zero, product_norm, 0 in (k, l))
-
-
-def _rows(values) -> np.ndarray:
-    # cochains as the rows of one C-contiguous float array: the layout in
-    # which every per-cochain reduction below runs
-    return np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=np.float64)))
-
-
 def _row_norms(X: np.ndarray, wk: np.ndarray) -> np.ndarray:
     """The w-norm of every row of X.  einsum reduces each row along its own
     contiguous values, so a row's norm does not depend on how many rows X
@@ -161,17 +90,17 @@ def _row_norms(X: np.ndarray, wk: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("pi,pi,i->p", X, X, wk))
 
 
-def _pair_block(K, w, k, A, l, B, basis_rows):
+def _pair_block(K, w, k, l, rows):
     """(product norms, residuals, zero-product flags) of a cup b for every
-    row a of A (degree k) and every row b of B (degree l), a-major.
+    basis row a of degree k and every basis row b of degree l, a-major.
 
-    The products form one block C with a row per pair, projected at once:
-    C - (C W H^T) H with H = basis_rows(k + l), the harmonic rows of the
-    target degree, asked for only when some product needs a projection.
-    Rows of A and B are trusted to be harmonic.  Every reduction runs per
-    row, so a pair's results do not depend on the block it is in.  Unit
-    pairs (k or l is 0) get residual 0 and no zero-product test.
+    ``rows[p]`` holds the certified harmonic basis of degree p as rows.  The
+    products form one block C with a row per pair, projected at once:
+    C - (C W H^T) H with H = rows[k + l].  Every reduction runs per row, so
+    a pair's results do not depend on the block it is in.  Unit pairs (k or
+    l is 0) get residual 0 and no zero-product test.
     """
+    A, B = rows[k], rows[l]
     target = k + l
     front = K.faces(target, range(k + 1))
     back = K.faces(target, range(k, target + 1))
@@ -185,7 +114,7 @@ def _pair_block(K, w, k, A, l, B, basis_rows):
     zero = product_norm <= floor.ravel()
     live = ~zero
     if live.any():
-        H = basis_rows(target)
+        H = rows[target]
         C = C[live]
         coeffs = np.einsum("pi,si->ps", wt * C, H)
         projected = np.einsum("ps,si->pi", coeffs, H)
@@ -202,27 +131,12 @@ def _vertex_incidence(K: SimplicialComplex, k: int) -> sp.csc_matrix:
     return sp.csc_matrix((ones, vertices.ravel(), indptr), shape=shape)
 
 
-def norm_constancy(K: SimplicialComplex, w: MetricWeights, a: Cochain) -> float:
-    """Coefficient of variation of the localized squared norm over vertices.
-
-    The localized norm at a vertex averages w_sigma * a(sigma)^2 over the
-    k-simplices containing it, weight-normalized; 0 means the cochain has
-    discretely constant length.  The cochain and the weights must match K.
-    """
-    k = a.degree
-    if not 0 <= k <= K.dimension:
-        raise ValueError(f"degree {k} out of range 0..{K.dimension}")
-    if len(a.values) != K.simplex_count(k):
-        raise ValueError(f"a degree-{k} cochain needs {K.simplex_count(k)} values")
-    _check_weights(K, w)
-    values = _rows(a.values)
-    if not np.any(values):
-        raise ValueError("norm constancy of the zero cochain is undefined")
-    return float(_norm_variation(K, w, k, values)[0])
-
-
 def _norm_variation(K, w, k, A) -> np.ndarray:
-    # norm_constancy of every row of A (degree k), one row per reduction
+    # The coefficient of variation over vertices of each row's localized
+    # squared norm, one row of A (degree k) per reduction.  The localized
+    # norm at a vertex averages w_sigma * a(sigma)^2 over the k-simplices
+    # containing it, weight-normalized; 0 means the cochain has discretely
+    # constant length.
     weights = w.degree(k)
     S = K.derived(f"vertex_incidence:{k}", lambda K: _vertex_incidence(K, k))
     local = (S @ (weights * A**2).T) / (S @ weights)[:, None]
@@ -271,7 +185,7 @@ def formality_residual(
 
 def _norm_entry(K, w, k, H) -> tuple[np.ndarray, tuple[NormRecord, ...]]:
     # the read-only rows of the degree-k basis and their norm records
-    rows = _rows(H.T)
+    rows = np.ascontiguousarray(H.T)
     rows.flags.writeable = False
     variation = _norm_variation(K, w, k, rows).tolist()
     return rows, tuple(NormRecord(k, i, v) for i, v in enumerate(variation))
@@ -279,7 +193,7 @@ def _norm_entry(K, w, k, H) -> tuple[np.ndarray, tuple[NormRecord, ...]]:
 
 def _pair_records(K, w, k, l, rows) -> tuple[PairRecord, ...]:
     # the records of every pair of a degree-k and a degree-l basis row
-    block = _pair_block(K, w, k, rows[k], l, rows[l], rows.__getitem__)
+    block = _pair_block(K, w, k, l, rows)
     indices = itertools.product(range(len(rows[k])), range(len(rows[l])))
     return tuple(
         PairRecord(k, i, l, j, nc, r, z, 0 in (k, l))

@@ -1,4 +1,4 @@
-"""Weighted inner products, Hodge Laplacians, harmonic bases, decomposition.
+"""Weighted inner products, Hodge Laplacians, harmonic bases, spectral gaps.
 
 The discrete metric is one strictly positive weight per simplex, i.e. a
 diagonal inner product W_k per degree.  The coboundary d_k is the transpose
@@ -71,21 +71,16 @@ __all__ = [
     "unit_weights",
     "random_weights",
     "weights_from_arrays",
-    "inner",
     "norm",
     "laplacian",
     "harmonic_basis",
     "spectral_gaps",
     "harmonic_projection",
-    "hodge_decompose",
 ]
 
 DEFAULT_TOL = 1e-9
 # Largest accepted harmonicity residual ||Delta v||_w of a unit basis vector.
 RESIDUAL_LIMIT = 1e-8
-# Largest accepted pairwise inner product of the three Hodge parts of a
-# cochain c, relative to ||c||_w^2.
-_ORTHOGONALITY_LIMIT = 1e-8
 # Entries of the per-complex memo.  One weight state of a dimension-4
 # complex fills 30: 5 splits, 5 residuals, 5 basis-row entries and 15 pair
 # blocks.  64 holds two such states, the current weights and a candidate.
@@ -129,9 +124,13 @@ class MetricWeights:
 def _checked(k: int, values) -> np.ndarray:
     # a float64 copy, so that equal weights have equal keys and no caller
     # array can change a vector after its check
-    w = np.array(values, dtype=np.float64)
+    message = f"degree-{k} weights must be finite and strictly positive"
+    try:
+        w = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float64 range, e.g. 10**400
+        raise ValueError(message) from None
     if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0)):
-        raise ValueError(f"degree-{k} weights must be finite and strictly positive")
+        raise ValueError(message)
     w.flags.writeable = False
     return w
 
@@ -173,12 +172,8 @@ def _check_weights(K: SimplicialComplex, w: MetricWeights) -> None:
             raise ValueError(f"degree-{k} weights have shape {a.shape}, expected ({count},)")
 
 
-def inner(w: MetricWeights, k: int, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.dot(x, w.degree(k) * y))
-
-
 def norm(w: MetricWeights, k: int, x: np.ndarray) -> float:
-    return float(np.sqrt(max(inner(w, k, x, x), 0.0)))
+    return float(np.sqrt(max(np.dot(x, w.degree(k) * x), 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,32 +519,3 @@ def harmonic_projection(
     values = np.asarray(c.values, dtype=np.float64)
     coeffs = X.T @ (w.degree(c.degree) * values)
     return Cochain(c.degree, X @ coeffs)
-
-
-def hodge_decompose(
-    K: SimplicialComplex, w: MetricWeights, c: Cochain
-) -> tuple[Cochain, Cochain, Cochain]:
-    """Split c = (exact) + (coexact) + (harmonic), pairwise w-orthogonal.
-
-    The exact part is the W_k-orthogonal projection onto im d_{k-1}, solved
-    with the same factor of N_k that builds the harmonic basis."""
-    k = c.degree
-    if not 0 <= k <= K.dimension:
-        raise ValueError(f"degree {k} out of range 0..{K.dimension}")
-    _check_weights(K, w)
-    values = np.asarray(c.values, dtype=np.float64)
-    h = harmonic_projection(K, w, Cochain(k, values)).values
-    exact = _exact_part(_operators(K), w, k, values - h)
-    coexact = values - h - exact
-
-    scale = norm(w, k, values) or 1.0
-    checks = (
-        abs(inner(w, k, exact, coexact)),
-        abs(inner(w, k, exact, h)),
-        abs(inner(w, k, coexact, h)),
-    )
-    if max(checks) > _ORTHOGONALITY_LIMIT * scale**2:
-        raise NumericalError(
-            f"hodge decomposition lost orthogonality (worst {max(checks):.3e})"
-        )
-    return Cochain(k, exact), Cochain(k, coexact), Cochain(k, h)

@@ -149,6 +149,25 @@ def test_analyze_rejects_schema_invalid_weights(tmp_path):
         assert run(["analyze", complex_path, "--weights", weights_path]) == 2, weights
 
 
+def test_weights_beyond_float_range_are_usage_errors(tmp_path, capsys):
+    # 10**400 is a JSON integer that no float64 holds; it fails like 1e400
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    weights_path = tmp_path / "w.json"
+    weights_path.write_text(
+        json.dumps({"weights": [[10**400] + [1] * 8, [1] * 27, [1] * 18]})
+    )
+    out = tmp_path / "best.json"
+    for args in (
+        ["analyze", complex_path, "--weights", weights_path],
+        ["search", complex_path, "--init", "file", "--weights", weights_path, "-o", out],
+    ):
+        assert run(args) == 2, args
+        err = capsys.readouterr().err
+        assert err == "error: degree-0 weights must be finite and strictly positive\n", err
+    assert not out.exists()
+
+
 def test_analyze_tolerance_must_be_finite_and_positive(tmp_path):
     complex_path = tmp_path / "t2.json"
     run(["generate", "torus:2", "-o", complex_path])

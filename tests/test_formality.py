@@ -1,17 +1,13 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hodgeform.complexes import Cochain, build_complex, product_complex, sphere, torus
+from hodgeform.complexes import build_complex, product_complex, sphere, torus
 from hodgeform.cup import cup
 from hodgeform.formality import (
     ZERO_PRODUCT_RTOL,
     SearchConfig,
     formality_residual,
-    norm_constancy,
-    pair_residual,
     search_formal_weights,
 )
 from hodgeform import hodge
@@ -20,12 +16,11 @@ from hodgeform.hodge import (
     MetricWeights,
     harmonic_basis,
     harmonic_projection,
-    laplacian,
     norm,
     random_weights,
     unit_weights,
 )
-from hodgeform.homology import betti_numbers, boundary_matrix
+from hodgeform.homology import boundary_matrix
 
 
 def oracle_pair_residual(K, w, a, b):
@@ -56,97 +51,47 @@ def oracle_pair_residual(K, w, a, b):
     return weighted_norm(values - projector @ values) / nc
 
 
-def harmonic_pair(K, w, k, i, j):
-    basis = harmonic_basis(K, w, k)
-    return (
-        Cochain(k, basis.vectors[:, i]),
-        Cochain(k, basis.vectors[:, j]),
-    )
+def records_of(report, degree_a, degree_b):
+    """(index_a, index_b) -> record, for the report's pairs of two degrees."""
+    return {
+        (p.index_a, p.index_b): p
+        for p in report.pairs
+        if (p.degree_a, p.degree_b) == (degree_a, degree_b)
+    }
 
 
 def test_pair_residual_matches_dense_oracle_on_torus(tori):
     K = tori[2]
     w = unit_weights(K)
-    for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        a, b = harmonic_pair(K, w, 1, i, j)
-        got = pair_residual(K, w, a, b).residual
-        want = oracle_pair_residual(K, w, a, b)
-        assert abs(got - want) < 1e-9
+    one_forms = harmonic_basis(K, w, 1).cochains
+    records = records_of(formality_residual(K, w), 1, 1)
+    assert sorted(records) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for (i, j), record in records.items():
+        want = oracle_pair_residual(K, w, one_forms[i], one_forms[j])
+        assert abs(record.residual - want) < 1e-9
 
 
 def test_pair_residual_matches_dense_oracle_random_weights(surfaces):
     K = surfaces[2]
     for seed in (0, 1):
         w = random_weights(K, seed)
-        basis = harmonic_basis(K, w, 1)
-        for i in range(basis.cardinality):
-            a = Cochain(1, basis.vectors[:, i])
-            b = Cochain(1, basis.vectors[:, (i + 1) % basis.cardinality])
-            got = pair_residual(K, w, a, b).residual
-            want = oracle_pair_residual(K, w, a, b)
-            assert abs(got - want) < 1e-9
+        one_forms = harmonic_basis(K, w, 1).cochains
+        records = records_of(formality_residual(K, w), 1, 1)
+        for i, a in enumerate(one_forms):
+            j = (i + 1) % len(one_forms)
+            want = oracle_pair_residual(K, w, a, one_forms[j])
+            assert abs(records[i, j].residual - want) < 1e-9
 
 
 def test_unit_pairs_give_exact_zero(tori):
     K = tori[2]
-    w = unit_weights(K)
-    one = harmonic_basis(K, w, 0).cochains[0]
-    for degree in (0, 1, 2):
-        basis = harmonic_basis(K, w, degree)
-        for c in basis.cochains:
-            result = pair_residual(K, w, one, c)
-            assert result.residual == 0.0
-            assert result.unit_pair
-            reversed_result = pair_residual(K, w, c, one)
-            assert reversed_result.residual == 0.0
-
-
-def test_pair_residual_rejects_non_harmonic_inputs(tori):
-    K = tori[2]
-    w = unit_weights(K)
-    rng = np.random.default_rng(0)
-    junk = Cochain(1, rng.standard_normal(27))
-    good = harmonic_basis(K, w, 1).cochains[0]
-    with pytest.raises(ValueError):
-        pair_residual(K, w, junk, good)
-    with pytest.raises(ValueError):
-        pair_residual(K, w, good, Cochain(1, np.zeros(27)))
-
-
-def first_nonzero_mode(K, w, k):
-    """The W-unit eigenvector of the first nonzero eigenvalue of Delta_k,
-    from a dense eigensolve of W^{1/2} Delta_k W^{-1/2}."""
-    sqrt_w = np.sqrt(w.degree(k))
-    S = sqrt_w[:, None] * laplacian(K, w, k).toarray() / sqrt_w[None, :]
-    _, vectors = scipy.linalg.eigh(0.5 * (S + S.T))
-    return vectors[:, betti_numbers(K)[k]] / sqrt_w
-
-
-def test_pair_residual_rejects_a_slow_non_harmonic_mode(surfaces):
-    # the first nonzero eigenvalue of Delta_1 is 1.2e-3, 8.7e-8 of the
-    # Laplacian's row-sum scale, yet e is W-orthogonal to every harmonic
-    # cochain
-    K = surfaces[2]
-    w = random_weights(K, 1)
-    e = Cochain(1, first_nonzero_mode(K, w, 1))
-    h = harmonic_basis(K, w, 1).cochains[0]
-    with pytest.raises(ValueError, match="not harmonic"):
-        pair_residual(K, w, e, h)
-    with pytest.raises(ValueError, match="not harmonic"):
-        pair_residual(K, w, h, e)
-
-
-def test_pair_residual_gate_measures_distance_from_the_harmonic_span(tori):
-    K = tori[2]
-    w = random_weights(K, 0)
-    e = first_nonzero_mode(K, w, 1)
-    h0, h1 = harmonic_basis(K, w, 1).cochains
-    with pytest.raises(ValueError, match="not harmonic"):
-        pair_residual(K, w, Cochain(1, h0.values + 0.1 * e), h1)
-    # a W-distance of 1e-9 is within the gate, and moves the residual by
-    # no more than that
-    near = pair_residual(K, w, Cochain(1, h0.values + 1e-9 * e), h1).residual
-    assert abs(near - pair_residual(K, w, h0, h1).residual) < 1e-8
+    report = formality_residual(K, unit_weights(K))
+    units = [p for p in report.pairs if 0 in (p.degree_a, p.degree_b)]
+    # the unit times each basis cochain of degrees 0..2 (1 + 2 + 1), and
+    # each of degrees 1..2 times the unit (2 + 1)
+    assert len(units) == 7
+    assert all(p.residual == 0.0 and p.unit_pair for p in units)
+    assert not any(p.unit_pair for p in report.pairs if p not in units)
 
 
 def test_pair_residual_gate_needs_a_certified_basis(tori):
@@ -154,30 +99,21 @@ def test_pair_residual_gate_needs_a_certified_basis(tori):
     K = tori[2]
     rng = np.random.default_rng(1)
     w = MetricWeights(tuple(10.0 ** rng.uniform(-6, 6, K.simplex_count(k)) for k in range(3)))
-    c = Cochain(1, rng.standard_normal(K.simplex_count(1)))
     with pytest.raises(NumericalError, match="residual"):
-        pair_residual(K, w, c, c)
+        formality_residual(K, w)
 
 
 def test_identically_zero_product_is_flagged():
-    # two disjoint staircase tori: harmonic cochains supported on different
-    # components multiply to the zero cochain
+    # two disjoint staircase tori: products of harmonic cochains supported
+    # on different components are the zero cochain
     t = torus(2)
     shifted = [tuple(v + 9 for v in f) for f in t.facets]
     K = build_complex(list(t.facets) + shifted)
     w = unit_weights(K)
-    one_forms = harmonic_basis(K, w, 1)
-    assert one_forms.cardinality == 4
-    # build component-supported harmonic cochains by zeroing the other side
-    edges = K.simplices(1)
-    mask_a = np.array([1.0 if e[1] < 9 else 0.0 for e in edges])
-    mask_b = 1.0 - mask_a
-    combo = one_forms.vectors @ np.ones(4)
-    a = Cochain(1, combo * mask_a)
-    b = Cochain(1, combo * mask_b)
-    result = pair_residual(K, w, a, b)
-    assert result.zero_product
-    assert result.residual == 0.0
+    assert harmonic_basis(K, w, 1).cardinality == 4
+    zero = [p for p in formality_residual(K, w).pairs if p.zero_product]
+    assert len(zero) == 8
+    assert all(p.residual == 0.0 and not p.unit_pair for p in zero)
 
 
 def test_residuals_lie_in_unit_interval(surfaces):
@@ -193,26 +129,25 @@ def test_residuals_lie_in_unit_interval(surfaces):
 # norm constancy
 
 
+def variations(K, w, degree):
+    """The report's norm-constancy values of the degree-k basis, in index order."""
+    records = formality_residual(K, w).norm_constancy
+    return [r.variation for r in records if r.degree == degree]
+
+
 def test_circle_harmonic_cochain_has_constant_length(tori):
     K = tori[1]
-    w = unit_weights(K)
-    a = harmonic_basis(K, w, 1).cochains[0]
-    assert norm_constancy(K, w, a) < 1e-12
+    assert variations(K, unit_weights(K), 1)[0] < 1e-12
 
 
 def test_torus_area_generator_has_constant_length(tori):
     K = tori[2]
-    w = unit_weights(K)
-    a = harmonic_basis(K, w, 2).cochains[0]
-    assert norm_constancy(K, w, a) < 1e-12
+    assert variations(K, unit_weights(K), 2)[0] < 1e-12
 
 
 def test_genus_two_one_cochains_have_nonconstant_length(surfaces):
     K = surfaces[2]
-    w = unit_weights(K)
-    basis = harmonic_basis(K, w, 1)
-    variations = [norm_constancy(K, w, c) for c in basis.cochains]
-    assert max(variations) > 1e-3
+    assert max(variations(K, unit_weights(K), 1)) > 1e-3
 
 
 def _norm_constancy_by_vertex(K, w, a):
@@ -232,28 +167,13 @@ def _norm_constancy_by_vertex(K, w, a):
 def test_norm_constancy_matches_per_vertex_oracle(small_zoo):
     for name, K in small_zoo.items():
         w = random_weights(K, np.random.default_rng(3))
-        for k in range(K.dimension + 1):
-            for a in harmonic_basis(K, w, k).cochains:
-                expected = _norm_constancy_by_vertex(K, w, a)
-                assert abs(norm_constancy(K, w, a) - expected) <= 1e-12 * max(
-                    1.0, abs(expected)
-                ), (name, k)
-
-
-def test_norm_constancy_rejects_zero(tori):
-    with pytest.raises(ValueError):
-        norm_constancy(tori[2], unit_weights(tori[2]), Cochain(1, np.zeros(27)))
-
-
-def test_norm_constancy_checks_its_input_against_the_complex(tori):
-    K = tori[2]
-    w = unit_weights(K)
-    with pytest.raises(ValueError, match="degree 5 out of range 0..2"):
-        norm_constancy(K, w, Cochain(5, np.ones(3)))
-    with pytest.raises(ValueError, match="degree-1 cochain needs 27 values"):
-        norm_constancy(K, w, Cochain(1, np.ones(5)))
-    with pytest.raises(ValueError, match="weight vectors"):
-        norm_constancy(K, unit_weights(tori[1]), Cochain(1, np.ones(27)))
+        for record in formality_residual(K, w).norm_constancy:
+            a = harmonic_basis(K, w, record.degree).cochains[record.index]
+            expected = _norm_constancy_by_vertex(K, w, a)
+            assert abs(record.variation - expected) <= 1e-12 * max(1.0, abs(expected)), (
+                name,
+                record.degree,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +212,6 @@ def test_s2xs2_unit_weight_residuals_are_pinned():
     for key, value in want.items():
         assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
     assert report.aggregate == pytest.approx(1.0, rel=1e-12)
-
-
-def test_report_records_equal_pair_residual_bitwise(tori, surfaces):
-    # formality_residual and pair_residual share one routine; only the
-    # harmonicity gate on the inputs differs
-    for K in (tori[2], surfaces[2]):
-        w = random_weights(K, 7)
-        report = formality_residual(K, w)
-        bases = {k: harmonic_basis(K, w, k).vectors for k in range(K.dimension + 1)}
-        for p in report.pairs:
-            a = Cochain(p.degree_a, bases[p.degree_a][:, p.index_a])
-            b = Cochain(p.degree_b, bases[p.degree_b][:, p.index_b])
-            r = pair_residual(K, w, a, b)
-            got = (p.residual, p.product_norm, p.zero_product, p.unit_pair)
-            want = (r.residual, r.product_norm, r.zero_product, r.unit_pair)
-            assert got == want, (K.name, dataclasses.asdict(p))
 
 
 def per_pair_records(K, w):
@@ -379,20 +283,6 @@ def test_warm_and_fresh_complexes_agree_bitwise(s2xs2):
         ).to_dict()
         assert len(memo) <= hodge._MEMO_SIZE
     assert not any(part in first.keys for key in memo for part in key[2:])
-
-
-def test_pair_residual_takes_nothing_from_the_memo(tori):
-    # after a report has filled the memo for w, pair_residual on rotated
-    # basis vectors (not basis rows the memo holds) still matches the oracle
-    K = tori[2]
-    w = random_weights(K, 4)
-    formality_residual(K, w)
-    h0, h1 = harmonic_basis(K, w, 1).cochains
-    a = Cochain(1, (h0.values + h1.values) / np.sqrt(2.0))
-    b = Cochain(1, (h0.values - h1.values) / np.sqrt(2.0))
-    for x, y in ((a, b), (b, a), (a, a)):
-        got = pair_residual(K, w, x, y).residual
-        assert abs(got - oracle_pair_residual(K, w, x, y)) < 1e-9
 
 
 def test_report_lists_every_ordered_pair_once_in_sorted_order(tori):

@@ -19,8 +19,6 @@ from hodgeform.hodge import (
     MetricWeights,
     harmonic_basis,
     harmonic_projection,
-    hodge_decompose,
-    inner,
     laplacian,
     norm,
     random_weights,
@@ -192,8 +190,8 @@ def test_self_adjoint_under_weights(tori):
         m = K.simplex_count(k)
         for _ in range(5):
             x, y = rng.standard_normal(m), rng.standard_normal(m)
-            lhs = inner(w, k, L @ x, y)
-            rhs = inner(w, k, x, L @ y)
+            lhs = np.dot(L @ x, w.degree(k) * y)
+            rhs = np.dot(x, w.degree(k) * (L @ y))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -348,47 +346,7 @@ def test_spectral_gaps_refuse_an_uncertified_basis(tori):
 
 
 # ---------------------------------------------------------------------------
-# decomposition and projection
-
-
-def test_decompose_harmonic_input(tori):
-    K = tori[2]
-    w = unit_weights(K)
-    h = harmonic_basis(K, w, 1).vectors[:, 0]
-    exact, coexact, harmonic = hodge_decompose(K, w, Cochain(1, h))
-    assert np.linalg.norm(exact.values) < 1e-10
-    assert np.linalg.norm(coexact.values) < 1e-10
-    assert np.allclose(harmonic.values, h, atol=1e-10)
-
-
-def test_decompose_exact_input(tori):
-    K = tori[2]
-    w = random_weights(K, 12)
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal(9)
-    d0 = boundary_matrix(K, 1).T.toarray().astype(float)
-    c = Cochain(1, d0 @ a)
-    exact, coexact, harmonic = hodge_decompose(K, w, c)
-    assert norm(w, 1, coexact.values) <= 1e-8 * norm(w, 1, c.values)
-    assert norm(w, 1, harmonic.values) <= 1e-8 * norm(w, 1, c.values)
-
-
-def test_decompose_reassembles_and_is_orthogonal(tori, surfaces):
-    rng = np.random.default_rng(14)
-    for K in (tori[2], surfaces[2]):
-        w = random_weights(K, 15)
-        for k in range(K.dimension + 1):
-            c = Cochain(k, rng.standard_normal(K.simplex_count(k)))
-            exact, coexact, harmonic = hodge_decompose(K, w, c)
-            total = exact.values + coexact.values + harmonic.values
-            nc = norm(w, k, c.values)
-            assert norm(w, k, c.values - total) <= 1e-8 * nc
-            for u, v in [
-                (exact, coexact),
-                (exact, harmonic),
-                (coexact, harmonic),
-            ]:
-                assert abs(inner(w, k, u.values, v.values)) <= 1e-8 * nc**2
+# projection
 
 
 def test_projection_recovers_basis_vector(tori):
@@ -450,9 +408,6 @@ def test_projection_onto_an_empty_harmonic_space(spheres):
     h = harmonic_projection(K, w, c).values
     assert h.shape == (K.simplex_count(1),)
     assert not np.any(h)
-    exact, coexact, harmonic = hodge_decompose(K, w, c)
-    assert not np.any(harmonic.values)
-    assert np.allclose(exact.values + coexact.values, c.values, atol=1e-12)
 
 
 def test_spectral_gaps_project_only_with_certified_bases(monkeypatch):
