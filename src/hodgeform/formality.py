@@ -160,12 +160,15 @@ def formality_residual(
     basis rows and norm records of degree k (which read w_k) and the pair
     records of (k, l) (which read w_k, w_l and w_{k+l}) then come from the
     per-complex memo of :mod:`hodgeform.hodge`, so a candidate that moves
-    one degree recomputes only what reads that degree.
+    one degree recomputes only what reads that degree.  A degree without
+    harmonic cochains has no rows, records or memo entry.
     """
     n = K.dimension
     bases = [harmonic_basis(K, w, k, tol).vectors for k in range(n + 1)]
     norms = [
         memoized(K, w, "rows", (k,), lambda: _norm_entry(K, w, k, bases[k]))
+        if bases[k].shape[1]
+        else (np.empty((0, len(bases[k]))), ())
         for k in range(n + 1)
     ]
     rows = [entry[0] for entry in norms]

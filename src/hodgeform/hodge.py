@@ -25,19 +25,25 @@ What does not depend on the weights is built once per complex and kept in
 transpose of each (a view sharing its arrays, so no product transposes
 again), the sparsity pattern of N_k with the source simplex and sign of each
 off-diagonal entry (so N_k for new weights is a gather and one bincount, no
-sparse product), and the cocycles X_k.  What depends on the weights is kept
-next to it, in two places, keyed by ``MetricWeights.keys``.  The factor of
-N_k is kept for the latest w_k of each degree only, since it can be far
-larger than what it produces.  Everything else goes through one bounded LRU
-memo per complex, ``_Operators.memo``, keyed by a tag, the degrees the value
-reads and those degrees' keys.  The split of degree k is keyed by w_k; its
-certified residual by (w_{k-1}, w_k, w_{k+1}), because ||Delta_k h||_w reads
-all three; :mod:`hodgeform.formality` keys its basis rows and norm records
-by w_k and its pair blocks by (w_k, w_l, w_{k+l}).  A value enters the memo
-only when its build returned, so only results that passed their certificates
-are kept, and each is computed by the same code from the same inputs as
-without the memo.  The memo holds at most _MEMO_SIZE entries; a search move
-changes one degree, so the entries of the degrees it leaves alone are hits.
+sparse product), and the cocycles X_k.  The fill-reducing elimination order
+of N_k depends on its pattern alone (George & Liu, SIAM Rev. 31, 1989), so
+it too is computed once per complex: D_k and J_{k-1} are stored in that
+order, and every factor of N_k runs in the stored order.  What depends on
+the weights is kept next to it, in two places, keyed by
+``MetricWeights.keys``.  The factor of N_k is kept for the latest w_k of
+each degree only, since it can be far larger than what it produces.
+Everything else goes through one bounded LRU memo per complex,
+``_Operators.memo``, keyed by a tag, the degrees the value reads and those
+degrees' keys.  The split of degree k is keyed by w_k; its certified
+residual by (w_{k-1}, w_k, w_{k+1}), because ||Delta_k h||_w reads all
+three; :mod:`hodgeform.formality` keys its basis rows and norm records by
+w_k and its pair blocks by (w_k, w_l, w_{k+l}).  A degree without harmonic
+cochains gets no entry: its empty basis has residual 0 and is built anew on
+each call, at no cost.  A value enters the memo only when its build
+returned, so only results that passed their certificates are kept, and each
+is computed by the same code from the same inputs as without the memo.  The
+memo holds at most _MEMO_SIZE entries; a search move changes one degree, so
+the entries of the degrees it leaves alone are hits.
 
 What ``tolerance`` certifies: :func:`harmonic_basis` raises
 :class:`NumericalError` when the reciprocal condition of that Gram matrix is
@@ -57,7 +63,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -82,8 +87,9 @@ DEFAULT_TOL = 1e-9
 # Largest accepted harmonicity residual ||Delta v||_w of a unit basis vector.
 RESIDUAL_LIMIT = 1e-8
 # Entries of the per-complex memo.  One weight state of a dimension-4
-# complex fills 30: 5 splits, 5 residuals, 5 basis-row entries and 15 pair
-# blocks.  64 holds two such states, the current weights and a candidate.
+# complex fills at most 30: 5 splits, 5 residuals, 5 basis-row entries and
+# 15 pair blocks, fewer where a degree has no harmonic cochains.  64 holds
+# two such states, the current weights and a candidate.
 # Factors of N_k stay out of the memo, one per degree (for the latest w_k):
 # an N_3 factor on torus:4 has 1.25 M fill.
 _MEMO_SIZE = 64
@@ -123,13 +129,14 @@ class MetricWeights:
 
 def _checked(k: int, values) -> np.ndarray:
     # a float64 copy, so that equal weights have equal keys and no caller
-    # array can change a vector after its check
+    # array can change a vector after its check; a subnormal weight counts
+    # as zero, since its reciprocal overflows
     message = f"degree-{k} weights must be finite and strictly positive"
     try:
         w = np.array(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float64 range, e.g. 10**400
         raise ValueError(message) from None
-    if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0)):
+    if w.size and (not np.all(np.isfinite(w)) or np.any(w < np.finfo(np.float64).tiny)):
         raise ValueError(message)
     w.flags.writeable = False
     return w
@@ -219,25 +226,48 @@ class _NormalMatrix:
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
 
 
+def _elimination_order(D: sp.csc_matrix) -> np.ndarray:
+    """The columns of D in SuperLU's minimum-degree order for N = D^T W D,
+    which reads the sparsity pattern of N alone (George & Liu, SIAM Rev. 31,
+    1989).  An incomplete factor that drops every off-diagonal entry
+    computes that order without paying for the fill; ``perm_c[i]`` is the
+    position of column i."""
+    if D.shape[1] < 2:
+        return np.arange(D.shape[1])
+    perm_c = spla.spilu(
+        (D.T @ D).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        drop_tol=np.inf,
+        fill_factor=1,
+        options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
+    ).perm_c
+    return np.argsort(perm_c)
+
+
 class _Operators:
     """What one complex needs for every weight: float coboundaries, the
-    exact-span columns D, both with their transposes, the pattern of N_k and
-    the cocycles per degree, plus the bounded memo of weight-dependent
-    results and the latest factor of N_k per degree."""
+    exact-span columns D in elimination order, both with their transposes,
+    the pattern of N_k and the cocycles per degree, plus the bounded memo of
+    weight-dependent results and the latest factor of N_k per degree."""
 
     def __init__(self, K: SimplicialComplex):
         red = cohomology_reduction(K)
         n = K.dimension
         self.d = tuple(d.tocsr().astype(np.float64) for d in red.coboundaries)
-        # exact_span[k] = d_{k-1} restricted to the independent columns J_{k-1}
-        self.exact_span = (None,) + tuple(
-            self.d[k - 1][:, red.independent[k - 1]].tocsc() for k in range(1, n + 1)
-        )
+        # exact_span[k] = d_{k-1} restricted to its independent columns
+        # J_{k-1} = independent[k - 1], both stored in the elimination order
+        # of N_k, so that every factor of N_k runs in the stored order
+        independent, spans = list(red.independent), [None]
+        for k in range(1, n + 1):
+            D = self.d[k - 1][:, independent[k - 1]].tocsc()
+            order = _elimination_order(D)
+            independent[k - 1] = independent[k - 1][order]
+            spans.append(D[:, order].tocsc())
+        self.independent, self.exact_span = tuple(independent), tuple(spans)
         # transposes taken once; each shares the arrays of its matrix
         self.d_T = tuple(d.T for d in self.d)
         self.exact_span_T = (None,) + tuple(D.T for D in self.exact_span[1:])
         self.normal = (None,) + tuple(_NormalMatrix(D) for D in self.exact_span[1:])
-        self.independent = red.independent
         self.cocycles = tuple(X.astype(np.float64) for X in red.cocycles)
         self.entries: OrderedDict[tuple, object] = OrderedDict()
         # degree -> (key of w_k, factor of N_k for those weights)
@@ -314,7 +344,7 @@ class HarmonicBasis:
 
 def _normal_factor(ops: _Operators, w: MetricWeights, k: int) -> spla.SuperLU | None:
     """Sparse LU of N_k = D^T W_k D (positive definite, so diagonal pivots
-    on a symmetric fill-reducing order), or None when im d_{k-1} = 0.
+    in the stored fill-reducing order of D), or None when im d_{k-1} = 0.
 
     Only the factor for the latest w_k of each degree is kept."""
     if k == 0 or not ops.exact_span[k].shape[1]:
@@ -326,7 +356,7 @@ def _normal_factor(ops: _Operators, w: MetricWeights, k: int) -> spla.SuperLU | 
     ops.factors.pop(k, None)
     factor = spla.splu(
         ops.normal[k].at(w.degree(k)),
-        permc_spec="MMD_AT_PLUS_A",
+        permc_spec="NATURAL",
         options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
     )
     ops.factors[k] = (key, factor)
@@ -344,10 +374,11 @@ def _exact_part(ops: _Operators, w: MetricWeights, k: int, X: np.ndarray) -> np.
 
 def _orthonormalize(X: np.ndarray, wk: np.ndarray) -> np.ndarray:
     """X L^{-T} with L L^T the W-Gram matrix of X (done twice, which brings
-    the W-orthogonality defect to round-off for any certified X)."""
+    the W-orthogonality defect to round-off for any certified X).  L has
+    one row per cohomology class, so its inverse is cheap to form."""
     for _ in range(2):
         L = np.linalg.cholesky(X.T @ (wk[:, None] * X))
-        X = scipy.linalg.solve_triangular(L, X.T, lower=True).T
+        X = X @ np.linalg.inv(L).T
     return X
 
 
@@ -377,18 +408,22 @@ def _build_split(ops: _Operators, w: MetricWeights, k: int) -> _Split:
 
 def _certified_residual(ops: _Operators, w: MetricWeights, k: int, H: np.ndarray) -> float:
     """max_i ||Delta_k h_i||_w / ||h_i||_w without forming Delta_k.  Raises
-    NumericalError above RESIDUAL_LIMIT: the certificate takes no tolerance."""
-    if not H.shape[1]:
-        return 0.0
+    NumericalError above RESIDUAL_LIMIT: the certificate takes no tolerance.
+
+    Each w-norm is the plain norm of sqrt(w) x, which stays finite where x
+    alone squares past the float range; a defect that still leaves it reads
+    inf or nan and fails the certificate."""
     wk = w.degree(k)[:, None]
+    sqrt_wk = np.sqrt(wk)
     out = np.zeros_like(H)
-    if k < len(ops.d):
-        out += (ops.d_T[k] @ (w.degree(k + 1)[:, None] * (ops.d[k] @ H))) / wk
-    if k > 0:
-        out += ops.d[k - 1] @ ((ops.d_T[k - 1] @ (wk * H)) / w.degree(k - 1)[:, None])
-    defect = np.sqrt(np.sum(wk * out**2, axis=0))
-    size = np.sqrt(np.sum(wk * H**2, axis=0))
-    residual = float(np.max(defect / size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k < len(ops.d):
+            out += (ops.d_T[k] @ (w.degree(k + 1)[:, None] * (ops.d[k] @ H))) / wk
+        if k > 0:
+            out += ops.d[k - 1] @ ((ops.d_T[k - 1] @ (wk * H)) / w.degree(k - 1)[:, None])
+        defect = np.linalg.norm(sqrt_wk * out, axis=0)
+        size = np.linalg.norm(sqrt_wk * H, axis=0)
+        residual = float(np.max(defect / size))
     if not residual <= RESIDUAL_LIMIT:
         raise NumericalError(
             f"degree-{k} harmonic basis has residual {residual:.3e} "
@@ -413,14 +448,22 @@ def harmonic_basis(
         raise ValueError(f"degree {k} out of range 0..{K.dimension}")
     _check_weights(K, w)
     ops = _operators(K)
-    # the residual reads the weights of k and its neighbours, the split w_k
-    near = tuple(range(max(k - 1, 0), min(k + 1, K.dimension) + 1))
-    split = memoized(K, w, "split", (k,), lambda: _build_split(ops, w, k))
+    # a degree without harmonic cochains keeps nothing in the memo: its
+    # empty basis costs nothing to build and has residual 0
+    empty = not ops.cocycles[k].shape[1]
+    if empty:
+        split = _build_split(ops, w, k)
+    else:
+        split = memoized(K, w, "split", (k,), lambda: _build_split(ops, w, k))
     if split.gram_rcond <= tol:
         raise NumericalError(
             f"degree-{k} Gram matrix has reciprocal condition "
             f"{split.gram_rcond:.3e} <= tolerance {tol:.3e}"
         )
+    if empty:
+        return HarmonicBasis(k, split.vectors, 0.0, split.gram_rcond)
+    # the residual reads the weights of k and its neighbours, the split w_k
+    near = tuple(range(max(k - 1, 0), min(k + 1, K.dimension) + 1))
     residual = memoized(
         K, w, "residual", near, lambda: _certified_residual(ops, w, k, split.vectors)
     )

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hodgeform
 from hodgeform.cli import main, parse_zoo_identifier
 
 
@@ -166,6 +172,59 @@ def test_weights_beyond_float_range_are_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == "error: degree-0 weights must be finite and strictly positive\n", err
     assert not out.exists()
+
+
+_CHILD = """
+import contextlib, io, json, sys
+from hodgeform.cli import main
+results = []
+for args in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        results.append([main(args), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_tiny_weights_fail_with_their_documented_exit_code(tmp_path):
+    # a subnormal weight has an infinite reciprocal: a usage error (exit 2);
+    # a tiny normal one fails the residual certificate (exit 3).  Run with
+    # warnings as errors, so that an overflow inside the library would
+    # escape as a traceback instead
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    cases, want = [], []
+    for value in (1e-320, 1e-300, 1e-200):
+        weights_path = tmp_path / f"w{value}.json"
+        weights_path.write_text(json.dumps({"weights": [[1] * 9, [value] + [1] * 26, [1] * 18]}))
+        report = tmp_path / f"r{value}.json"
+        given = ["--weights", weights_path, "-o"]
+        cases.append(["analyze", complex_path, "--all", *given, report])
+        cases.append(["search", complex_path, "--init", "file", *given, tmp_path / "s.json"])
+        want += [(value, report), (value, None)]
+    argv = json.dumps([[str(a) for a in case] for case in cases])
+    env = dict(os.environ, PYTHONPATH=str(Path(hodgeform.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _CHILD, argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    results = json.loads(child.stdout)
+    assert len(results) == len(want)
+    for (value, report), (code, err) in zip(want, results):
+        if value < np.finfo(np.float64).tiny:
+            assert code == 2, (value, report, err)
+            assert err == "error: degree-1 weights must be finite and strictly positive\n", err
+            continue
+        assert code == 3, (value, report, err)
+        failure = "degree-1 harmonic basis has residual"
+        if report is None:
+            assert err.startswith(f"numerical failure: {failure}"), err
+        else:
+            errors = json.loads(report.read_text())["errors"]
+            assert set(errors) == {"hodge", "formality"}, errors
+            assert all(e.startswith(failure) for e in errors.values()), errors
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_analyze_tolerance_must_be_finite_and_positive(tmp_path):

@@ -261,6 +261,24 @@ def test_report_matches_per_pair_oracle(tori, s2xs2, surfaces):
                 assert close(record.variation, _norm_constancy_by_vertex(K, w, a)), K.name
 
 
+def test_degrees_without_harmonic_cochains_keep_no_memo_entries():
+    # S^2 x S^2 has b_1 = b_3 = 0: no split, residual or basis-row entry is
+    # built for those degrees, and their empty bases have residual 0
+    K = product_complex(sphere(2), sphere(2))
+    w = random_weights(K, 8)
+    formality_residual(K, w)
+    built = {(tag, degrees) for tag, degrees, *_ in hodge._operators(K).entries}
+    for k in (0, 2, 4):
+        near = tuple(range(max(k - 1, 0), min(k + 1, K.dimension) + 1))
+        assert {("split", (k,)), ("rows", (k,)), ("residual", near)} <= built, k
+    for k in (1, 3):
+        near = (k - 1, k, k + 1)
+        assert not built & {("split", (k,)), ("rows", (k,)), ("residual", near)}, k
+        basis = harmonic_basis(K, w, k)
+        assert basis.residual == 0.0 and basis.cardinality == 0
+    assert built == {(tag, degrees) for tag, degrees, *_ in hodge._operators(K).entries}
+
+
 def test_warm_and_fresh_complexes_agree_bitwise(s2xs2):
     # every per-complex structure (operators, factors, memo entries) must
     # leave a report exactly as a freshly built complex gives it, also after

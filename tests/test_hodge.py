@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
+from hodgeform.cli import main
 from hodgeform.complexes import (
     Cochain,
     SimplicialComplex,
     build_complex,
+    product_complex,
     sphere,
     surface,
     torus,
 )
 from hodgeform import hodge
+from hodgeform.formality import formality_residual
 from hodgeform.errors import NumericalError
 from hodgeform.hodge import (
     MetricWeights,
@@ -26,7 +30,7 @@ from hodgeform.hodge import (
     unit_weights,
     weights_from_arrays,
 )
-from hodgeform.homology import betti_numbers, boundary_matrix
+from hodgeform.homology import betti_numbers, boundary_matrix, cohomology_reduction
 
 
 def dense_laplacian(K, w, k):
@@ -159,6 +163,55 @@ def test_normal_matrix_pattern_matches_the_dense_product(small_zoo):
             # and bitwise the sparse product D^T (W D), same terms in the same order
             product = D.T @ (sp.diags(w.degree(k)) @ D)
             assert np.array_equal(got, product.toarray()), (name, k)
+
+
+def test_factors_use_the_stored_elimination_order(tmp_path, monkeypatch):
+    # the fill-reducing order is computed once per complex, so every factor
+    # of N_k, for any weights, runs in the stored order of D
+    specs = []
+    splu = scipy.sparse.linalg.splu
+
+    def spy(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    K = product_complex(sphere(2), sphere(2))
+    base = random_weights(K, 3)
+    coordinates = [(k, i) for k in range(1, K.dimension + 1) for i in range(K.simplex_count(k))]
+    picks = np.random.default_rng(3).choice(len(coordinates), size=50, replace=False)
+    moved = [coordinates[p] for p in picks]
+    formality_residual(K, base)
+    for k, i in moved:
+        scaled = base.degree(k).copy()
+        scaled[i] *= 1.5
+        formality_residual(K, base.replace(k, scaled))
+    path = tmp_path / "t3.json"
+    assert main(["generate", "torus:3", "-o", str(path)]) == 0
+    assert main(["analyze", str(path), "--all", "-o", str(tmp_path / "report.json")]) == 0
+    # N_2 and N_4 for the base, then one factor per move of w_2 or w_4
+    # (S^2 x S^2 has no harmonic 1- or 3-cochains, so a move there factors
+    # nothing), and N_1..N_3 once for the whole analyze pass
+    assert len(specs) == 2 + sum(k in (2, 4) for k, _ in moved) + 3
+    assert set(specs) == {"NATURAL"}
+
+
+def test_stored_order_fills_no_more_than_minimum_degree(small_zoo):
+    # the factor in the stored order against SuperLU's own ordering of the
+    # normal matrix built in the reduction's column order
+    options = dict(SymmetricMode=True, DiagPivotThresh=0.0)
+    for name, K in small_zoo.items():
+        w = random_weights(K, 4)
+        ops = hodge._operators(K)
+        independent = cohomology_reduction(K).independent
+        for k in range(1, K.dimension + 1):
+            D = ops.d[k - 1][:, independent[k - 1]].tocsc()
+            if not D.shape[1]:
+                continue
+            N = (D.T @ (sp.diags(w.degree(k)) @ D)).tocsc()
+            mmd = scipy.sparse.linalg.splu(N, permc_spec="MMD_AT_PLUS_A", options=options)
+            stored = hodge._normal_factor(ops, w, k)
+            assert stored.L.nnz + stored.U.nnz <= mmd.L.nnz + mmd.U.nnz, (name, k)
 
 
 def test_vertex_laplacian_of_circle_is_graph_laplacian(spheres):
