@@ -1,15 +1,14 @@
 """Weighted combinatorial Hodge theory on triangulated closed manifolds.
 
 The package computes harmonic cochain bases under diagonal metric weights,
-cup products and intersection forms, a quantitative "formality residual"
-for products of harmonic cochains, a derivative-free search for residual-
+the exact intersection form, a quantitative "formality residual" for cup
+products of harmonic cochains, a derivative-free search for residual-
 minimizing weights, and the elementary low-dimensional obstruction rules.
 """
 
 __version__ = "0.1.0"
 
 from .complexes import (
-    Cochain,
     Orientation,
     SimplicialComplex,
     build_complex,
@@ -24,7 +23,7 @@ from .complexes import (
     surface,
     torus,
 )
-from .cup import IntersectionForm, cup, evaluate_on_fundamental_class, intersection_form
+from .cup import IntersectionForm, intersection_form
 from .errors import NumericalError
 from .formality import (
     FormalityReport,
@@ -36,7 +35,6 @@ from .hodge import (
     HarmonicBasis,
     MetricWeights,
     harmonic_basis,
-    harmonic_projection,
     laplacian,
     random_weights,
     spectral_gaps,
@@ -62,7 +60,6 @@ __all__ = [
     "__version__",
     "SimplicialComplex",
     "Orientation",
-    "Cochain",
     "build_complex",
     "is_closed_pseudomanifold",
     "orient",
@@ -86,9 +83,6 @@ __all__ = [
     "laplacian",
     "harmonic_basis",
     "spectral_gaps",
-    "harmonic_projection",
-    "cup",
-    "evaluate_on_fundamental_class",
     "IntersectionForm",
     "intersection_form",
     "FormalityReport",

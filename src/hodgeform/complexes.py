@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "SimplicialComplex",
     "Orientation",
-    "Cochain",
     "build_complex",
     "is_closed_pseudomanifold",
     "orient",
@@ -130,25 +129,6 @@ class Orientation:
     """A consistent sign per facet: induced ridge orientations cancel."""
 
     facet_signs: tuple[int, ...]
-
-
-@dataclass(eq=False)
-class Cochain:
-    """A value per k-simplex, indexed like ``K.simplices(k)``.
-
-    ``values`` is usually a float array; object arrays of exact numbers
-    (ints, Fractions) are accepted by the cochain algebra so exactness can
-    be preserved where it matters.
-    """
-
-    degree: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("cochain degree must be nonnegative")
-        if not isinstance(self.values, np.ndarray):
-            self.values = np.asarray(self.values)
 
 
 def _validate_facet(facet) -> tuple[int, ...]:

@@ -1,12 +1,15 @@
-"""Cup products, fundamental-class evaluation, and the intersection form.
+"""The cup product and the intersection form.
 
-The product is the front-face/back-face one on ordered simplices,
+The product is the front-face/back-face (Alexander-Whitney) one on ordered
+simplices,
 
     (a cup b)(v_0 .. v_{k+l}) = a(v_0 .. v_k) * b(v_k .. v_{k+l}),
 
-taken over the global vertex order.  It is bilinear, satisfies the Leibniz
-rule with the coboundary, and is graded-commutative at cohomology level only
-(never at cochain level; callers must not assume otherwise).
+taken over the global vertex order (the two faces are looked up in
+:func:`_faces` only).  It is bilinear, satisfies the Leibniz rule with the
+coboundary, and is graded-commutative at cohomology level only (never at
+cochain level; callers must not assume otherwise).  :func:`cup` multiplies
+blocks of cochains, as the pair sweep of :mod:`hodgeform.formality` does.
 
 The intersection form is this product paired with the fundamental class on
 the middle-degree integral cocycles of the exact reduction.  It is an
@@ -22,47 +25,36 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import Cochain, Orientation, SimplicialComplex, orient
+from .complexes import SimplicialComplex, orient
 from .homology import cohomology_reduction, exact_rank, poincare_duality_check
 
 __all__ = [
     "cup",
-    "evaluate_on_fundamental_class",
     "IntersectionForm",
     "intersection_form",
 ]
 
-def cup(K: SimplicialComplex, a: Cochain, b: Cochain) -> Cochain:
-    """Alexander-Whitney product of a k-cochain and an l-cochain."""
-    k, l = a.degree, b.degree
+
+def _faces(K: SimplicialComplex, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    # the front k-face and the back l-face of every (k+l)-simplex
+    return K.faces(k + l, range(k + 1)), K.faces(k + l, range(k, k + l + 1))
+
+
+def cup(K: SimplicialComplex, A: np.ndarray, k: int, B: np.ndarray, l: int) -> np.ndarray:
+    """Alexander-Whitney products of every row of A (degree-k cochains)
+    with every row of B (degree-l cochains): row i * len(B) + j is
+    A[i] cup B[j], a (k+l)-cochain.  The dtype is numpy's product of the
+    two: float rows give float64, exact object rows (ints, Fractions) stay
+    exact."""
     if k + l > K.dimension:
-        raise ValueError(
-            f"cup degree {k}+{l} exceeds the complex dimension {K.dimension}"
-        )
-    if len(a.values) != K.simplex_count(k) or len(b.values) != K.simplex_count(l):
-        raise ValueError("cochain lengths do not match the complex")
-    front = K.faces(k + l, range(k + 1))
-    back = K.faces(k + l, range(k, k + l + 1))
-    av, bv = a.values, b.values
-    if av.dtype == object or bv.dtype == object:
-        # exact cochains (ints, Fractions) keep Python arithmetic
-        out = np.asarray(av, dtype=object)[front] * np.asarray(bv, dtype=object)[back]
-    else:
-        out = np.asarray(av, dtype=np.float64)[front] * np.asarray(bv, dtype=np.float64)[back]
-    return Cochain(k + l, out)
-
-
-def evaluate_on_fundamental_class(
-    K: SimplicialComplex, orientation: Orientation, c: Cochain
-):
-    """Signed sum of a top cochain over the oriented facets."""
-    if c.degree != K.dimension:
-        raise ValueError("fundamental class pairs with top-degree cochains only")
-    if len(orientation.facet_signs) != len(K.facets):
-        raise ValueError("orientation does not match the complex")
-    if c.values.dtype == object:
-        return sum(s * v for s, v in zip(orientation.facet_signs, c.values))
-    return float(np.dot(np.asarray(orientation.facet_signs, dtype=np.float64), c.values))
+        raise ValueError(f"cup degree {k}+{l} exceeds the complex dimension {K.dimension}")
+    A, B = np.asarray(A), np.asarray(B)
+    f = K.f_vector
+    for X, d in ((A, k), (B, l)):
+        if X.ndim != 2 or X.shape[1] != f[d]:
+            raise ValueError(f"degree-{d} rows need shape (m, {f[d]}), got {X.shape}")
+    front, back = _faces(K, k, l)
+    return (A[:, front][:, None, :] * B[:, back][None, :, :]).reshape(-1, len(front))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +110,7 @@ def _inertia(Q: np.ndarray) -> tuple[int, int]:
 def _pairing(K: SimplicialComplex) -> IntersectionForm:
     m = K.dimension // 2
     X = cohomology_reduction(K).cocycles[m].astype(object)
-    front = K.faces(2 * m, range(m + 1))
-    back = K.faces(2 * m, range(m, 2 * m + 1))
+    front, back = _faces(K, m, m)
     signs = np.array(orient(K).facet_signs, dtype=object)
     # Python-int products; the int64 conversion raises rather than wraps.
     # On cocycles the pairing is exactly (skew-)symmetric: x cup y and

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .complexes import SimplicialComplex
+from .cup import cup
 from .hodge import DEFAULT_TOL, MetricWeights, harmonic_basis, memoized, unit_weights
 
 __all__ = [
@@ -95,16 +96,15 @@ def _pair_block(K, w, k, l, rows):
     basis row a of degree k and every basis row b of degree l, a-major.
 
     ``rows[p]`` holds the certified harmonic basis of degree p as rows.  The
-    products form one block C with a row per pair, projected at once:
+    products form one block C = cup(K, A, k, B, l) with a row per pair,
+    projected at once:
     C - (C W H^T) H with H = rows[k + l].  Every reduction runs per row, so
     a pair's results do not depend on the block it is in.  Unit pairs (k or
     l is 0) get residual 0 and no zero-product test.
     """
     A, B = rows[k], rows[l]
     target = k + l
-    front = K.faces(target, range(k + 1))
-    back = K.faces(target, range(k, target + 1))
-    C = (A[:, front][:, None, :] * B[:, back][None, :, :]).reshape(-1, len(front))
+    C = cup(K, A, k, B, l)
     wt = w.degree(target)
     product_norm = _row_norms(C, wt)
     residual = np.zeros(len(C))

@@ -66,7 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .complexes import Cochain, SimplicialComplex
+from .complexes import SimplicialComplex
 from .errors import NumericalError
 from .homology import cohomology_reduction
 
@@ -76,11 +76,9 @@ __all__ = [
     "unit_weights",
     "random_weights",
     "weights_from_arrays",
-    "norm",
     "laplacian",
     "harmonic_basis",
     "spectral_gaps",
-    "harmonic_projection",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -171,16 +169,15 @@ def random_weights(K, rng) -> MetricWeights:
 
 
 def _check_weights(K: SimplicialComplex, w: MetricWeights) -> None:
+    # one comparison for weights that fit; the messages only for those that do not
+    if tuple(a.shape for a in w.by_degree) == tuple((c,) for c in K.f_vector):
+        return
     if len(w.by_degree) != K.dimension + 1:
         raise ValueError(f"need {K.dimension + 1} weight vectors, got {len(w.by_degree)}")
     for k, a in enumerate(w.by_degree):
         count = K.simplex_count(k)
         if a.shape != (count,):
             raise ValueError(f"degree-{k} weights have shape {a.shape}, expected ({count},)")
-
-
-def norm(w: MetricWeights, k: int, x: np.ndarray) -> float:
-    return float(np.sqrt(max(np.dot(x, w.degree(k) * x), 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,10 +333,6 @@ class HarmonicBasis:
     @property
     def cardinality(self) -> int:
         return self.vectors.shape[1]
-
-    @property
-    def cochains(self) -> list[Cochain]:
-        return [Cochain(self.degree, self.vectors[:, i]) for i in range(self.cardinality)]
 
 
 def _normal_factor(ops: _Operators, w: MetricWeights, k: int) -> spla.SuperLU | None:
@@ -542,23 +535,3 @@ def spectral_gaps(K: SimplicialComplex, w: MetricWeights) -> tuple[float | None,
         scale = float(np.max(sqrt_w * (L @ (1.0 / sqrt_w)), initial=0.0))
         gaps.append(min(nonzero) / scale if nonzero and scale > 0 else None)
     return tuple(gaps)
-
-
-def harmonic_projection(
-    K: SimplicialComplex,
-    w: MetricWeights,
-    c: Cochain,
-    basis: HarmonicBasis | None = None,
-) -> Cochain:
-    """w-orthogonal projection onto the harmonic subspace; idempotent.
-    A given ``basis`` must have the degree of ``c``."""
-    if basis is None:
-        basis = harmonic_basis(K, w, c.degree)
-    elif basis.degree != c.degree:
-        raise ValueError(
-            f"cannot project a degree-{c.degree} cochain onto a degree-{basis.degree} basis"
-        )
-    X = basis.vectors
-    values = np.asarray(c.values, dtype=np.float64)
-    coeffs = X.T @ (w.degree(c.degree) * values)
-    return Cochain(c.degree, X @ coeffs)

@@ -1,33 +1,41 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from hodgeform.complexes import Cochain, orient, product_complex, sphere, torus
-from hodgeform.cup import cup, evaluate_on_fundamental_class, intersection_form
+from hodgeform.complexes import orient, product_complex, sphere, torus
+from hodgeform.cup import cup, intersection_form
 from hodgeform.hodge import harmonic_basis, random_weights, unit_weights
 from hodgeform.homology import boundary_matrix, cohomology_reduction
 
 
-def coboundary_of(K, c):
-    d = boundary_matrix(K, c.degree + 1).T
-    if c.values.dtype == object:
-        values = np.array(
-            [sum(int(d[i, j]) * c.values[j] for j in d[i].indices) for i in range(d.shape[0])],
-            dtype=object,
-        )
-        return Cochain(c.degree + 1, values)
-    return Cochain(c.degree + 1, d.astype(float) @ c.values)
+def loop_cup(K, k, a, l, b):
+    """The front-face/back-face product of a k-cochain a and an l-cochain b,
+    one target simplex at a time."""
+    return [
+        a[K.index_of(s[: k + 1], k)] * b[K.index_of(s[k:], l)]
+        for s in K.simplices(k + l)
+    ]
+
+
+def on_fundamental_class(K, c):
+    """<c, [K]>: the signed sum of a top cochain over the oriented facets."""
+    return sum(s * v for s, v in zip(orient(K).facet_signs, c))
+
+
+def coboundary_of(K, k, X):
+    """d_k of every row of a block of degree-k cochains."""
+    return (boundary_matrix(K, k + 1).T.astype(float) @ X.T).T
 
 
 def test_constant_zero_cochain_is_a_unit(tori):
     K = tori[2]
     rng = np.random.default_rng(0)
-    one = Cochain(0, np.ones(K.vertex_count))
+    one = np.ones((1, K.vertex_count))
     for degree in (0, 1, 2):
-        a = Cochain(degree, rng.standard_normal(K.simplex_count(degree)))
-        left = cup(K, one, a)
-        right = cup(K, a, one)
-        assert np.array_equal(left.values, a.values)
-        assert np.array_equal(right.values, a.values)
+        A = rng.standard_normal((3, K.simplex_count(degree)))
+        assert np.array_equal(cup(K, one, 0, A, degree), A)
+        assert np.array_equal(cup(K, A, degree, one, 0), A)
 
 
 def test_leibniz_rule_random_cochains(spheres):
@@ -36,32 +44,36 @@ def test_leibniz_rule_random_cochains(spheres):
     for k, l in [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)]:
         if k + l + 1 > K.dimension:
             continue
-        for _ in range(10):
-            a = Cochain(k, rng.standard_normal(K.simplex_count(k)))
-            b = Cochain(l, rng.standard_normal(K.simplex_count(l)))
-            lhs = coboundary_of(K, cup(K, a, b)).values
-            rhs = (
-                cup(K, coboundary_of(K, a), b).values
-                + (-1) ** k * cup(K, a, coboundary_of(K, b)).values
-            )
-            assert np.abs(lhs - rhs).max() < 1e-10
+        A = rng.standard_normal((10, K.simplex_count(k)))
+        B = rng.standard_normal((10, K.simplex_count(l)))
+        lhs = coboundary_of(K, k + l, cup(K, A, k, B, l))
+        rhs = (
+            cup(K, coboundary_of(K, k, A), k + 1, B, l)
+            + (-1) ** k * cup(K, A, k, coboundary_of(K, l, B), l + 1)
+        )
+        assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_cup_degree_overflow(tori):
     K = tori[2]
-    a = Cochain(2, np.ones(18))
-    with pytest.raises(ValueError):
-        cup(K, a, a)
+    top = np.ones((1, 18))
+    with pytest.raises(ValueError, match="exceeds"):
+        cup(K, top, 2, top, 2)
+    edges = np.ones((2, 27))
+    with pytest.raises(ValueError, match="degree-1 rows"):
+        cup(K, edges, 1, np.ones((2, 26)), 1)
+    with pytest.raises(ValueError, match="degree-0 rows"):
+        cup(K, np.ones((2, 27)), 0, edges, 1)
+    with pytest.raises(ValueError, match="degree-1 rows"):
+        cup(K, np.ones(27), 1, edges, 1)
 
 
 def test_cup_bilinear(tori):
     K = tori[2]
     rng = np.random.default_rng(2)
-    a1 = Cochain(1, rng.standard_normal(27))
-    a2 = Cochain(1, rng.standard_normal(27))
-    b = Cochain(1, rng.standard_normal(27))
-    combined = cup(K, Cochain(1, 2.0 * a1.values - 3.0 * a2.values), b).values
-    split = 2.0 * cup(K, a1, b).values - 3.0 * cup(K, a2, b).values
+    A1, A2, B = (rng.standard_normal((3, 27)) for _ in range(3))
+    combined = cup(K, 2.0 * A1 - 3.0 * A2, 1, B, 1)
+    split = 2.0 * cup(K, A1, 1, B, 1) - 3.0 * cup(K, A2, 1, B, 1)
     assert np.allclose(combined, split, atol=1e-12)
 
 
@@ -69,29 +81,11 @@ def test_cup_bilinear(tori):
 # fundamental class
 
 
-def test_indicator_cochain_evaluates_to_sign(tori):
-    K = tori[2]
-    ori = orient(K)
-    values = np.zeros(18)
-    values[7] = 1.0
-    assert evaluate_on_fundamental_class(K, ori, Cochain(2, values)) == ori.facet_signs[7]
-
-
-def test_coboundaries_evaluate_to_zero_exactly(tori):
-    K = tori[2]
-    ori = orient(K)
-    rng = np.random.default_rng(3)
-    u = Cochain(1, np.array([int(x) for x in rng.integers(-5, 6, 27)], dtype=object))
-    du = coboundary_of(K, u)
-    assert evaluate_on_fundamental_class(K, ori, du) == 0
-
-
 def test_harmonic_area_generator_pairs_nonzero(tori):
     K = tori[2]
     w = unit_weights(K)
-    h = harmonic_basis(K, w, 2).cochains[0]
-    value = evaluate_on_fundamental_class(K, orient(K), h)
-    assert abs(value) > 1.0
+    h = harmonic_basis(K, w, 2).vectors[:, 0]
+    assert abs(on_fundamental_class(K, h)) > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -99,38 +93,30 @@ def test_harmonic_area_generator_pairs_nonzero(tori):
 
 
 def integral_torus_generators(K):
-    """Pullbacks of the circle generator along the two projections."""
+    """Pullbacks of the circle generator along the two projections, as the
+    two rows of an exact (object) block."""
     width = 3
-    cochains = []
-    for which in (0, 1):
-        values = np.zeros(K.simplex_count(1), dtype=object)
-        for idx, (u, v) in enumerate(K.simplices(1)):
-            first = (u // width, v // width)
-            second = (u % width, v % width)
-            coords = first if which == 0 else second
-            values[idx] = 1 if coords == (0, 1) else 0
-        cochains.append(Cochain(1, values))
-    return cochains
+    rows = np.zeros((2, K.simplex_count(1)), dtype=object)
+    for idx, (u, v) in enumerate(K.simplices(1)):
+        first = (u // width, v // width)
+        second = (u % width, v % width)
+        for which, coords in enumerate((first, second)):
+            rows[which, idx] = 1 if coords == (0, 1) else 0
+    return rows
 
 
 def test_integral_generators_pair_to_unimodular_matrix(tori):
     K = tori[2]
-    alpha, beta = integral_torus_generators(K)
+    G = integral_torus_generators(K)
     # cocycles, exactly
-    for c in (alpha, beta):
-        dv = boundary_matrix(K, 2).T @ np.array([int(x) for x in c.values])
+    for c in G:
+        dv = boundary_matrix(K, 2).T @ np.array([int(x) for x in c])
         assert not dv.any()
-    ori = orient(K)
+    products = cup(K, G, 1, G, 1)
+    assert products.dtype == object
     pairing = np.array(
-        [
-            [
-                evaluate_on_fundamental_class(K, ori, cup(K, x, y))
-                for y in (alpha, beta)
-            ]
-            for x in (alpha, beta)
-        ],
-        dtype=np.int64,
-    )
+        [on_fundamental_class(K, c) for c in products], dtype=np.int64
+    ).reshape(2, 2)
     # squares of degree-1 classes vanish; the cross pairing is +-1
     assert pairing[0, 0] == 0 and pairing[1, 1] == 0
     assert pairing[0, 1] == -pairing[1, 0]
@@ -142,32 +128,33 @@ def test_integral_generators_pair_to_unimodular_matrix(tori):
 # graded commutativity at cohomology level
 
 
-def closed_random_cochain(K, w, k, rng):
-    values = np.zeros(K.simplex_count(k))
+def closed_random_cochains(K, w, k, count, rng):
+    """``count`` random closed k-cochains as rows: coboundaries plus
+    harmonic parts."""
+    values = np.zeros((count, K.simplex_count(k)))
     if k > 0:
-        d = boundary_matrix(K, k).T.toarray().astype(float)
-        values += d @ rng.standard_normal(K.simplex_count(k - 1))
+        values += coboundary_of(K, k - 1, rng.standard_normal((count, K.simplex_count(k - 1))))
     basis = harmonic_basis(K, w, k)
     if basis.cardinality:
-        values += basis.vectors @ rng.standard_normal(basis.cardinality)
-    return Cochain(k, values)
+        values += rng.standard_normal((count, basis.cardinality)) @ basis.vectors.T
+    return values
 
 
 def test_graded_commutativity_of_classes(tori, spheres, surfaces):
     rng = np.random.default_rng(8)
     for K in (tori[2], spheres[2], surfaces[2], tori[3]):
         w = unit_weights(K)
-        ori = orient(K)
         n = K.dimension
         for k in range(n + 1):
             l = n - k
-            for _ in range(5):
-                a = closed_random_cochain(K, w, k, rng)
-                b = closed_random_cochain(K, w, l, rng)
-                ab = evaluate_on_fundamental_class(K, ori, cup(K, a, b))
-                ba = evaluate_on_fundamental_class(K, ori, cup(K, b, a))
-                scale = max(abs(ab), abs(ba), 1.0)
-                assert abs(ab - (-1) ** (k * l) * ba) <= 1e-8 * scale
+            A = closed_random_cochains(K, w, k, 5, rng)
+            B = closed_random_cochains(K, w, l, 5, rng)
+            ab = [on_fundamental_class(K, c) for c in cup(K, A, k, B, l)]
+            ba = [on_fundamental_class(K, c) for c in cup(K, B, l, A, k)]
+            for i in range(5):
+                for j in range(5):
+                    x, y = ab[5 * i + j], ba[5 * j + i]
+                    assert abs(x - (-1) ** (k * l) * y) <= 1e-8 * max(abs(x), abs(y), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +227,20 @@ def test_intersection_form_requires_orientable(rp2):
         intersection_form(rp2)
 
 
-def loop_cup(K, a, b):
-    """The front-face/back-face product, one target simplex at a time."""
-    k, l = a.degree, b.degree
-    return [
-        a.values[K.index_of(s[: k + 1], k)] * b.values[K.index_of(s[k:], l)]
-        for s in K.simplices(k + l)
-    ]
-
-
 def test_matrix_is_the_integer_cup_pairing(small_zoo, pinched_torus, pinched_torus_squared):
     degenerate = {"pinched_torus": pinched_torus, "pinched_torus_squared": pinched_torus_squared}
     for name, K in {**small_zoo, **degenerate}.items():
         n = K.dimension
         if n % 2 or orient(K) is None:
             continue
+        m = n // 2
         form = intersection_form(K)
         Q = form.matrix
         assert np.issubdtype(Q.dtype, np.integer), name
-        X = cohomology_reduction(K).cocycles[n // 2]
-        cocycles = [Cochain(n // 2, np.array(list(map(int, x)), dtype=object)) for x in X.T]
+        X = cohomology_reduction(K).cocycles[m]
+        cocycles = [np.array(list(map(int, x)), dtype=object) for x in X.T]
         oracle = [
-            [evaluate_on_fundamental_class(K, orient(K), cup(K, x, y)) for y in cocycles]
+            [on_fundamental_class(K, loop_cup(K, m, x, m, y)) for y in cocycles]
             for x in cocycles
         ]
         assert Q.tolist() == oracle, name
@@ -272,25 +251,26 @@ def test_matrix_is_the_integer_cup_pairing(small_zoo, pinched_torus, pinched_tor
 
 
 def test_cup_matches_loop_oracle(small_zoo):
-    from fractions import Fraction
-
+    # blocks of 2 and 3 rows, so that the a-major row order shows
     rng = np.random.default_rng(31)
     for name, K in small_zoo.items():
         n = K.dimension
         for k in range(n + 1):
             for l in range(n + 1 - k):
-                fk, fl = K.simplex_count(k), K.simplex_count(l)
-                a = Cochain(k, rng.standard_normal(fk))
-                b = Cochain(l, rng.standard_normal(fl))
-                got = cup(K, a, b).values
-                assert got.dtype == np.float64, (name, k, l)
-                assert np.array_equal(got, np.array(loop_cup(K, a, b))), (name, k, l)
+                fk, fl, shape = K.simplex_count(k), K.simplex_count(l), (6, K.simplex_count(k + l))
+                A = rng.standard_normal((2, fk))
+                B = rng.standard_normal((3, fl))
+                got = cup(K, A, k, B, l)
+                assert got.dtype == np.float64 and got.shape == shape, (name, k, l)
+                want = [loop_cup(K, k, a, l, b) for a in A for b in B]
+                assert np.array_equal(got, np.array(want)), (name, k, l)
 
-                fa = np.empty(fk, dtype=object)
-                fa[:] = [Fraction(int(x), 7) for x in rng.integers(-5, 6, fk)]
-                fb = np.empty(fl, dtype=object)
-                fb[:] = [int(x) for x in rng.integers(-5, 6, fl)]
-                exact = cup(K, Cochain(k, fa), Cochain(l, fb)).values
-                assert exact.dtype == object, (name, k, l)
-                assert list(exact) == loop_cup(K, Cochain(k, fa), Cochain(l, fb))
-                assert all(isinstance(x, Fraction) for x in exact), (name, k, l)
+                FA = np.array(
+                    [[Fraction(int(x), 7) for x in row] for row in rng.integers(-5, 6, (2, fk))],
+                    dtype=object,
+                )
+                FB = np.array(rng.integers(-5, 6, (3, fl)).tolist(), dtype=object)
+                exact = cup(K, FA, k, FB, l)
+                assert exact.dtype == object and exact.shape == shape, (name, k, l)
+                assert exact.tolist() == [loop_cup(K, k, a, l, b) for a in FA for b in FB]
+                assert all(isinstance(x, Fraction) for x in exact.ravel()), (name, k, l)

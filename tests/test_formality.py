@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from hodgeform.complexes import build_complex, product_complex, sphere, torus
-from hodgeform.cup import cup
 from hodgeform.formality import (
     ZERO_PRODUCT_RTOL,
     SearchConfig,
@@ -15,19 +14,24 @@ from hodgeform.errors import NumericalError
 from hodgeform.hodge import (
     MetricWeights,
     harmonic_basis,
-    harmonic_projection,
-    norm,
     random_weights,
     unit_weights,
 )
 from hodgeform.homology import boundary_matrix
 
+from test_cup import loop_cup
 
-def oracle_pair_residual(K, w, a, b):
-    """Independent dense route: full Laplacian, dense nullspace, explicit
-    w-orthogonal projector."""
-    c = cup(K, a, b)
-    k = c.degree
+
+def w_norm(w, k, x):
+    return float(np.sqrt(max(np.dot(x, w.degree(k) * x), 0.0)))
+
+
+def oracle_pair_residual(K, w, ka, a, kb, b):
+    """Independent dense route for the degree-ka cochain a times the
+    degree-kb cochain b: the product one simplex at a time, full Laplacian,
+    dense nullspace, explicit w-orthogonal projector."""
+    values = np.array(loop_cup(K, ka, a, kb, b), dtype=np.float64)
+    k = ka + kb
     m = K.simplex_count(k)
     L = np.zeros((m, m))
     if k < K.dimension:
@@ -43,7 +47,6 @@ def oracle_pair_residual(K, w, a, b):
         projector = X @ np.linalg.solve(X.T @ W @ X, X.T @ W)
     else:
         projector = np.zeros((m, m))
-    values = np.asarray(c.values, dtype=np.float64)
     weighted_norm = lambda v: float(np.sqrt(max(v @ W @ v, 0.0)))
     nc = weighted_norm(values)
     if nc == 0.0:
@@ -63,11 +66,11 @@ def records_of(report, degree_a, degree_b):
 def test_pair_residual_matches_dense_oracle_on_torus(tori):
     K = tori[2]
     w = unit_weights(K)
-    one_forms = harmonic_basis(K, w, 1).cochains
+    one_forms = harmonic_basis(K, w, 1).vectors.T
     records = records_of(formality_residual(K, w), 1, 1)
     assert sorted(records) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for (i, j), record in records.items():
-        want = oracle_pair_residual(K, w, one_forms[i], one_forms[j])
+        want = oracle_pair_residual(K, w, 1, one_forms[i], 1, one_forms[j])
         assert abs(record.residual - want) < 1e-9
 
 
@@ -75,11 +78,11 @@ def test_pair_residual_matches_dense_oracle_random_weights(surfaces):
     K = surfaces[2]
     for seed in (0, 1):
         w = random_weights(K, seed)
-        one_forms = harmonic_basis(K, w, 1).cochains
+        one_forms = harmonic_basis(K, w, 1).vectors.T
         records = records_of(formality_residual(K, w), 1, 1)
         for i, a in enumerate(one_forms):
             j = (i + 1) % len(one_forms)
-            want = oracle_pair_residual(K, w, a, one_forms[j])
+            want = oracle_pair_residual(K, w, 1, a, 1, one_forms[j])
             assert abs(records[i, j].residual - want) < 1e-9
 
 
@@ -150,15 +153,16 @@ def test_genus_two_one_cochains_have_nonconstant_length(surfaces):
     assert max(variations(K, unit_weights(K), 1)) > 1e-3
 
 
-def _norm_constancy_by_vertex(K, w, a):
-    """Per-vertex loop over the k-simplices: the localized squared norm
-    averaged with weights, then its coefficient of variation."""
-    weights = w.degree(a.degree)
+def _norm_constancy_by_vertex(K, w, k, a):
+    """Per-vertex loop over the k-simplices: the localized squared norm of
+    the k-cochain a averaged with weights, then its coefficient of
+    variation."""
+    weights = w.degree(k)
     num = np.zeros(K.vertex_count)
     den = np.zeros(K.vertex_count)
-    for j, simplex in enumerate(K.simplices(a.degree)):
+    for j, simplex in enumerate(K.simplices(k)):
         for v in simplex:
-            num[v] += weights[j] * a.values[j] ** 2
+            num[v] += weights[j] * a[j] ** 2
             den[v] += weights[j]
     local = num / den
     return local.std() / local.mean()
@@ -168,8 +172,8 @@ def test_norm_constancy_matches_per_vertex_oracle(small_zoo):
     for name, K in small_zoo.items():
         w = random_weights(K, np.random.default_rng(3))
         for record in formality_residual(K, w).norm_constancy:
-            a = harmonic_basis(K, w, record.degree).cochains[record.index]
-            expected = _norm_constancy_by_vertex(K, w, a)
+            a = harmonic_basis(K, w, record.degree).vectors[:, record.index]
+            expected = _norm_constancy_by_vertex(K, w, record.degree, a)
             assert abs(record.variation - expected) <= 1e-12 * max(1.0, abs(expected)), (
                 name,
                 record.degree,
@@ -215,26 +219,27 @@ def test_s2xs2_unit_weight_residuals_are_pinned():
 
 
 def per_pair_records(K, w):
-    """Independent per-pair route: for every ordered basis pair, cup, then
-    harmonic_projection and norm one product at a time, in the report's
-    record order."""
+    """Independent per-pair route: for every ordered basis pair, the product
+    one simplex at a time, then its w-orthogonal projection H (H^T W c) and
+    its norms, one product at a time, in the report's record order."""
     n = K.dimension
-    bases = [harmonic_basis(K, w, k) for k in range(n + 1)]
+    bases = [harmonic_basis(K, w, k).vectors for k in range(n + 1)]
     records = []
     for k in range(n + 1):
         for l in range(n + 1 - k):
-            for i, a in enumerate(bases[k].cochains):
-                for j, b in enumerate(bases[l].cochains):
-                    c = cup(K, a, b)
-                    nc = norm(w, c.degree, c.values)
+            for i, a in enumerate(bases[k].T):
+                for j, b in enumerate(bases[l].T):
+                    c = np.array(loop_cup(K, k, a, l, b))
+                    nc = w_norm(w, k + l, c)
                     unit = k == 0 or l == 0
                     zero = not unit and nc <= (
-                        ZERO_PRODUCT_RTOL * norm(w, k, a.values) * norm(w, l, b.values)
+                        ZERO_PRODUCT_RTOL * w_norm(w, k, a) * w_norm(w, l, b)
                     )
                     residual = 0.0
                     if not (unit or zero):
-                        h = harmonic_projection(K, w, c, bases[k + l]).values
-                        residual = norm(w, c.degree, c.values - h) / nc
+                        H = bases[k + l]
+                        h = H @ (H.T @ (w.degree(k + l) * c))
+                        residual = w_norm(w, k + l, c - h) / nc
                     records.append((k, i, l, j, nc, residual, zero, unit))
     return records
 
@@ -257,8 +262,9 @@ def test_report_matches_per_pair_oracle(tori, s2xs2, surfaces):
                 assert close(g[4], r[4]) and close(g[5], r[5]), (K.name, g, r)
             assert report.aggregate == max(p.residual for p in report.pairs)
             for record in report.norm_constancy:
-                a = harmonic_basis(K, w, record.degree).cochains[record.index]
-                assert close(record.variation, _norm_constancy_by_vertex(K, w, a)), K.name
+                a = harmonic_basis(K, w, record.degree).vectors[:, record.index]
+                variation = _norm_constancy_by_vertex(K, w, record.degree, a)
+                assert close(record.variation, variation), K.name
 
 
 def test_degrees_without_harmonic_cochains_keep_no_memo_entries():

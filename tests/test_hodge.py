@@ -8,7 +8,6 @@ import scipy.sparse.linalg
 
 from hodgeform.cli import main
 from hodgeform.complexes import (
-    Cochain,
     SimplicialComplex,
     build_complex,
     product_complex,
@@ -22,15 +21,15 @@ from hodgeform.errors import NumericalError
 from hodgeform.hodge import (
     MetricWeights,
     harmonic_basis,
-    harmonic_projection,
     laplacian,
-    norm,
     random_weights,
     spectral_gaps,
     unit_weights,
     weights_from_arrays,
 )
 from hodgeform.homology import betti_numbers, boundary_matrix, cohomology_reduction
+
+from test_formality import w_norm
 
 
 def dense_laplacian(K, w, k):
@@ -63,6 +62,26 @@ def test_weights_validation(tori):
         MetricWeights((np.array([1.0, -1.0]),))
     with pytest.raises(ValueError):
         MetricWeights((np.array([1.0, 0.0]),))
+
+
+def test_every_entry_point_checks_the_weights_against_the_complex(tori):
+    # weights of another complex are refused by each public entry point,
+    # with a message that names the mismatch
+    K = tori[2]
+    short = MetricWeights((np.ones(9), np.ones(27)))
+    wrong = MetricWeights((np.ones(9), np.ones(26), np.ones(18)))
+    entry_points = (
+        lambda w: weights_from_arrays(K, w.by_degree),
+        lambda w: laplacian(K, w, 1),
+        lambda w: harmonic_basis(K, w, 1),
+        lambda w: spectral_gaps(K, w),
+        lambda w: formality_residual(K, w),
+    )
+    for call in entry_points:
+        with pytest.raises(ValueError, match="need 3 weight vectors, got 2"):
+            call(short)
+        with pytest.raises(ValueError, match=r"degree-1 weights have shape \(26,\), expected \(27,\)"):
+            call(wrong)
 
 
 def test_weights_of_any_dtype_are_kept_as_float64(tori):
@@ -326,7 +345,7 @@ def test_basis_harmonicity_residual(surfaces):
     L = laplacian(K, w, 1)
     for i in range(basis.cardinality):
         x = basis.vectors[:, i]
-        assert norm(w, 1, L @ x) <= 1e-8 * norm(w, 1, x)
+        assert w_norm(w, 1, L @ x) <= 1e-8 * w_norm(w, 1, x)
 
 
 def test_absurd_tolerance_fails_loudly(tori):
@@ -384,7 +403,7 @@ def test_large_surface_random_weights_certify():
         assert basis.residual <= 1e-8, seed
         L = laplacian(K, w, 1)
         for x in basis.vectors.T:
-            assert norm(w, 1, L @ x) <= 1e-8 * norm(w, 1, x), seed
+            assert w_norm(w, 1, L @ x) <= 1e-8 * w_norm(w, 1, x), seed
 
 
 def test_spectral_gaps_refuse_an_uncertified_basis(tori):
@@ -399,46 +418,44 @@ def test_spectral_gaps_refuse_an_uncertified_basis(tori):
 
 
 # ---------------------------------------------------------------------------
-# projection
+# projection: the W-orthogonal projection onto the harmonic space is
+# P_H c = H (H^T W c) with H = harmonic_basis(...).vectors, as the pair
+# sweep of formality_residual projects
+
+
+def project(w, k, H, c):
+    return H @ (H.T @ (w.degree(k) * c))
 
 
 def test_projection_recovers_basis_vector(tori):
+    # P_H H = H exactly when H^T W H = I
     K = tori[2]
     w = unit_weights(K)
-    basis = harmonic_basis(K, w, 1)
-    v = basis.vectors[:, 1]
-    proj = harmonic_projection(K, w, Cochain(1, v), basis)
-    assert np.allclose(proj.values, v, atol=1e-12)
+    H = harmonic_basis(K, w, 1).vectors
+    assert np.abs(H.T @ (w.degree(1)[:, None] * H) - np.eye(H.shape[1])).max() <= 1e-12
+    assert np.allclose(project(w, 1, H, H[:, 1]), H[:, 1], atol=1e-12)
 
 
 def test_projection_kills_exact_cochains(tori):
+    # H^T W d c = 0: every exact cochain is W-orthogonal to the basis
     K = tori[2]
     w = unit_weights(K)
     rng = np.random.default_rng(20)
     d0 = boundary_matrix(K, 1).T.toarray().astype(float)
     c = d0 @ rng.standard_normal(9)
-    proj = harmonic_projection(K, w, Cochain(1, c))
-    assert np.linalg.norm(proj.values) <= 1e-10 * np.linalg.norm(c)
+    H = harmonic_basis(K, w, 1).vectors
+    assert np.linalg.norm(H.T @ (w.degree(1) * c)) <= 1e-10 * np.linalg.norm(c)
 
 
 def test_projection_idempotent(surfaces):
     K = surfaces[2]
     w = random_weights(K, 21)
     rng = np.random.default_rng(22)
-    c = Cochain(1, rng.standard_normal(K.simplex_count(1)))
-    once = harmonic_projection(K, w, c)
-    twice = harmonic_projection(K, w, once)
-    assert np.allclose(once.values, twice.values, atol=1e-12)
-
-
-def test_projection_refuses_a_basis_of_another_degree(spheres):
-    K = spheres[3]
-    w = random_weights(K, 0)
-    c = Cochain(3, np.random.default_rng(0).standard_normal(K.simplex_count(3)))
-    with pytest.raises(ValueError, match="degree"):
-        harmonic_projection(K, w, c, harmonic_basis(K, w, 0))
-    given = harmonic_projection(K, w, c, harmonic_basis(K, w, 3))
-    assert given.values.tobytes() == harmonic_projection(K, w, c).values.tobytes()
+    c = rng.standard_normal(K.simplex_count(1))
+    H = harmonic_basis(K, w, 1).vectors
+    once = project(w, 1, H, c)
+    twice = project(w, 1, H, once)
+    assert np.allclose(once, twice, atol=1e-12)
 
 
 def test_global_weight_scaling_leaves_harmonic_projector(tori):
@@ -456,9 +473,10 @@ def test_global_weight_scaling_leaves_harmonic_projector(tori):
 def test_projection_onto_an_empty_harmonic_space(spheres):
     K = spheres[2]
     w = random_weights(K, 5)
-    assert harmonic_basis(K, w, 1).cardinality == 0
-    c = Cochain(1, np.random.default_rng(5).standard_normal(K.simplex_count(1)))
-    h = harmonic_projection(K, w, c).values
+    H = harmonic_basis(K, w, 1).vectors
+    assert H.shape == (K.simplex_count(1), 0)
+    c = np.random.default_rng(5).standard_normal(K.simplex_count(1))
+    h = project(w, 1, H, c)
     assert h.shape == (K.simplex_count(1),)
     assert not np.any(h)
 
