@@ -19,6 +19,11 @@ J_{k-1} of d_{k-1}.  With D the columns J_{k-1} of d_{k-1}, the normal
 matrix N_k = D^T W_k D is sparse and positive definite.  One factorization
 of it projects X_k W_k-orthogonally off im d_{k-1}; a Cholesky factor of the
 Gram matrix of the result then W_k-orthonormalizes it, keeping class order.
+An N_k of at most _DENSE_ROWS rows is factored dense, by LAPACK's Cholesky
+(``scipy.linalg.lapack.dpotrf``), where SuperLU's fixed cost per call would
+exceed the whole factor; a larger one by SuperLU.  The Gram matrices, one
+row per cohomology class, go to LAPACK directly too (dpotrf, dtrtri and
+dsyevd), without numpy.linalg's per-call checks.
 
 What does not depend on the weights is built once per complex and kept in
 ``_Operators``: the float coboundaries d_k, the exact-span columns D_k, the
@@ -49,7 +54,10 @@ What ``tolerance`` certifies: :func:`harmonic_basis` raises
 :class:`NumericalError` when the reciprocal condition of that Gram matrix is
 at most ``tol`` (the projected cocycles are numerically dependent), and
 when a basis vector's harmonicity residual ||Delta v||_w exceeds
-RESIDUAL_LIMIT.  :func:`spectral_gaps` reports, per degree, the first
+RESIDUAL_LIMIT.  Far-apart weights can defeat the steps before those
+certificates; a factor that finds N_k numerically singular and a Gram
+matrix past the float range raise :class:`NumericalError` too, naming the
+degree.  :func:`spectral_gaps` reports, per degree, the first
 nonzero eigenvalue of S_k = W^{1/2} Delta_k W^{-1/2} over the Gershgorin
 scale of S_k; the analysis pipeline raises when that gap is at most ``tol``.
 The residual certificate takes no tolerance.  Every basis the module
@@ -60,11 +68,13 @@ projects with, :func:`spectral_gaps` included, comes from
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, dtrtri
 
 from .complexes import SimplicialComplex
 from .errors import NumericalError
@@ -91,6 +101,10 @@ RESIDUAL_LIMIT = 1e-8
 # Factors of N_k stay out of the memo, one per degree (for the latest w_k):
 # an N_3 factor on torus:4 has 1.25 M fill.
 _MEMO_SIZE = 64
+# N_k of at most this many rows is factored dense by LAPACK's Cholesky,
+# which costs less than SuperLU's fixed set-up at that size; a larger one
+# by SuperLU, whose factor of a sparse N_k is far smaller and faster.
+_DENSE_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +212,10 @@ class _NormalMatrix:
     D scaled by r + 1, gives the CSC pattern and the source row and sign of
     every off-diagonal entry.  The values are then bitwise those of the
     product D^T (W_k D): the same terms, each diagonal summed in row order.
+
+    An N_k of at most _DENSE_ROWS rows is also kept as the position of each
+    stored entry in a Fortran-ordered dense array (``dense_positions``, None
+    for a larger N_k), so that :meth:`dense_at` is one scatter.
     """
 
     def __init__(self, D: sp.csc_matrix):
@@ -214,13 +232,28 @@ class _NormalMatrix:
         # the row and column of every stored entry of D, in column order
         self.entry_rows = D.indices
         self.entry_columns = np.repeat(np.arange(self.size, dtype=np.int32), np.diff(D.indptr))
+        self.dense_positions = None
+        if self.size <= _DENSE_ROWS:
+            self.dense_positions = pattern.indices + columns * self.size
 
-    def at(self, wk: np.ndarray) -> sp.csc_matrix:
+    def _values(self, wk: np.ndarray) -> np.ndarray:
         data = self.sign * wk[self.source]
         data[self.diagonal] = np.bincount(
             self.entry_columns, weights=wk[self.entry_rows], minlength=self.size
         )
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
+        return data
+
+    def at(self, wk: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix(
+            (self._values(wk), self.indices, self.indptr), shape=(self.size, self.size)
+        )
+
+    def dense_at(self, wk: np.ndarray) -> np.ndarray:
+        """N_k as a Fortran-ordered dense array, for an N_k of at most
+        _DENSE_ROWS rows."""
+        out = np.zeros(self.size * self.size)
+        out[self.dense_positions] = self._values(wk)
+        return out.reshape((self.size, self.size), order="F")
 
 
 def _elimination_order(D: sp.csc_matrix) -> np.ndarray:
@@ -267,8 +300,8 @@ class _Operators:
         self.normal = (None,) + tuple(_NormalMatrix(D) for D in self.exact_span[1:])
         self.cocycles = tuple(X.astype(np.float64) for X in red.cocycles)
         self.entries: OrderedDict[tuple, object] = OrderedDict()
-        # degree -> (key of w_k, factor of N_k for those weights)
-        self.factors: dict[int, tuple[bytes, spla.SuperLU]] = {}
+        # degree -> (key of w_k, solver of N_k from its factor for those weights)
+        self.factors: dict[int, tuple[bytes, Callable[[np.ndarray], np.ndarray]]] = {}
 
     def memo(self, key: tuple, build):
         """The value under ``key``, else ``build()``, kept under ``key`` when
@@ -335,11 +368,17 @@ class HarmonicBasis:
         return self.vectors.shape[1]
 
 
-def _normal_factor(ops: _Operators, w: MetricWeights, k: int) -> spla.SuperLU | None:
-    """Sparse LU of N_k = D^T W_k D (positive definite, so diagonal pivots
-    in the stored fill-reducing order of D), or None when im d_{k-1} = 0.
+def _normal_factor(
+    ops: _Operators, w: MetricWeights, k: int
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """A solver of N_k x = b, for one right-hand side or a block of columns,
+    from a factor of N_k = D^T W_k D; None when im d_{k-1} = 0.
 
-    Only the factor for the latest w_k of each degree is kept."""
+    N_k is positive definite.  At most _DENSE_ROWS rows, it is made dense
+    and factored by LAPACK's Cholesky (dpotrf, solves by dpotrs); larger,
+    by SuperLU with diagonal pivots in the stored fill-reducing order of D.
+    Raises NumericalError when either factor finds N_k numerically singular.
+    Only the solver for the latest w_k of each degree is kept."""
     if k == 0 or not ops.exact_span[k].shape[1]:
         return None
     key = w.keys[k]
@@ -347,39 +386,65 @@ def _normal_factor(ops: _Operators, w: MetricWeights, k: int) -> spla.SuperLU | 
     if held is not None and held[0] == key:
         return held[1]
     ops.factors.pop(k, None)
-    factor = spla.splu(
-        ops.normal[k].at(w.degree(k)),
-        permc_spec="NATURAL",
-        options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
-    )
-    ops.factors[k] = (key, factor)
-    return factor
+    normal, wk = ops.normal[k], w.degree(k)
+    singular = f"degree-{k} normal matrix is numerically singular"
+    if normal.dense_positions is not None:
+        L, info = dpotrf(normal.dense_at(wk), lower=1, clean=0, overwrite_a=1)
+        if info:
+            raise NumericalError(singular)
+
+        def solve(b):
+            return dpotrs(L, b, lower=1)[0]
+
+    else:
+        N = normal.at(wk)
+        try:
+            solve = spla.splu(
+                N,
+                permc_spec="NATURAL",
+                options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
+            ).solve
+        except RuntimeError:  # SuperLU's "Factor is exactly singular"
+            raise NumericalError(singular) from None
+    ops.factors[k] = (key, solve)
+    return solve
 
 
 def _exact_part(ops: _Operators, w: MetricWeights, k: int, X: np.ndarray) -> np.ndarray:
     """W_k-orthogonal projection of X (one cochain or a block of columns)
     onto im d_{k-1}, D N_k^{-1} D^T W_k X; zeros when im d_{k-1} = 0."""
-    factor = _normal_factor(ops, w, k)
-    if factor is None:
+    solve = _normal_factor(ops, w, k)
+    if solve is None:
         return np.zeros_like(X)
-    return ops.exact_span[k] @ factor.solve(ops.exact_span_T[k] @ (w.degree(k) * X.T).T)
+    return ops.exact_span[k] @ solve(ops.exact_span_T[k] @ (w.degree(k) * X.T).T)
 
 
-def _orthonormalize(X: np.ndarray, wk: np.ndarray) -> np.ndarray:
-    """X L^{-T} with L L^T the W-Gram matrix of X (done twice, which brings
-    the W-orthogonality defect to round-off for any certified X).  L has
-    one row per cohomology class, so its inverse is cheap to form."""
-    for _ in range(2):
-        L = np.linalg.cholesky(X.T @ (wk[:, None] * X))
-        X = X @ np.linalg.inv(L).T
-    return X
+def _inverse_cholesky(gram: np.ndarray) -> np.ndarray:
+    """L^{-1} for the lower Cholesky factor L of ``gram``, by LAPACK dpotrf
+    and dtrtri.  Raises LinAlgError when ``gram`` is not numerically
+    positive definite."""
+    L, info = dpotrf(gram, lower=1)
+    if not info:
+        L, info = dtrtri(L, lower=1, overwrite_c=1)
+    if info:
+        raise np.linalg.LinAlgError("Gram matrix is not positive definite")
+    return L
+
+
+def _orthonormalize(X: np.ndarray, wk: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """X L^{-T} with L L^T = ``gram``, the W-Gram matrix of X, then once
+    more with the Gram matrix of the result, which brings the
+    W-orthogonality defect to round-off for any certified X.  L has one row
+    per cohomology class, so its inverse is cheap to form."""
+    X = X @ _inverse_cholesky(gram).T
+    return X @ _inverse_cholesky(X.T @ (wk[:, None] * X)).T
 
 
 def _rcond(gram: np.ndarray) -> float:
-    """Reciprocal condition of a nonempty symmetric positive semidefinite
-    matrix."""
-    eigs = np.linalg.eigvalsh(gram)
-    return float(eigs[0] / eigs[-1]) if eigs[-1] > 0 else 0.0
+    """Reciprocal condition of a nonempty, finite, symmetric positive
+    semidefinite matrix, from LAPACK dsyevd; 0 when it does not converge."""
+    eigs, _, info = dsyevd(gram, compute_v=0, lower=1)
+    return float(eigs[0] / eigs[-1]) if not info and eigs[-1] > 0 else 0.0
 
 
 def _build_split(ops: _Operators, w: MetricWeights, k: int) -> _Split:
@@ -387,9 +452,15 @@ def _build_split(ops: _Operators, w: MetricWeights, k: int) -> _Split:
     if not X.shape[1]:
         return _Split(np.zeros((len(wk), 0)), 1.0)
     X = X - _exact_part(ops, w, k, X)
-    rcond = _rcond(X.T @ (wk[:, None] * X))
+    # one Gram matrix for the condition and the first orthonormalization;
+    # far-apart weights can carry it past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = X.T @ (wk[:, None] * X)
+    if not np.all(np.isfinite(gram)):
+        raise NumericalError(f"degree-{k} Gram matrix of the projected cocycles is not finite")
+    rcond = _rcond(gram)
     try:
-        H = _orthonormalize(X, wk)
+        H = _orthonormalize(X, wk, gram)
     except np.linalg.LinAlgError:
         raise NumericalError(
             f"projected degree-{k} cocycles are numerically dependent "
@@ -484,7 +555,7 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
     WJ = W[J]
     D, D_T = ops.exact_span[j], ops.exact_span_T[j]
     wj = w.degree(j)
-    N_factor = _normal_factor(ops, w, j)
+    solve_normal = _normal_factor(ops, w, j)
     H = harmonic_basis(K, w, j - 1).vectors
 
     def coexact_mass(c):
@@ -503,7 +574,7 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
         spla.LinearOperator((r, r), matvec=coexact_mass, dtype=np.float64),
         k=1,
         M=spla.LinearOperator((r, r), matvec=normal, dtype=np.float64),
-        Minv=spla.LinearOperator((r, r), matvec=N_factor.solve, dtype=np.float64),
+        Minv=spla.LinearOperator((r, r), matvec=solve_normal, dtype=np.float64),
         which="LA",
         # the Ritz value's relative error is about the square of this
         # residual tolerance, far below what the gap is compared against

@@ -2,6 +2,7 @@ import pytest
 
 from hodgeform.complexes import (
     build_complex,
+    connected_sum,
     load_bundled_complex,
     product_complex,
     sphere,
@@ -28,6 +29,13 @@ def surfaces():
 @pytest.fixture(scope="session")
 def s2xs2(spheres):
     return product_complex(spheres[2], spheres[2])
+
+
+@pytest.fixture(scope="session")
+def torus3_sum(tori):
+    """T^3 # T^3, Betti (1, 6, 6, 1): its N_2 and N_3 have 317 and 321
+    rows, above the dense cut."""
+    return connected_sum(tori[3], tori[3])
 
 
 @pytest.fixture(scope="session")

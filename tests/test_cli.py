@@ -186,6 +186,20 @@ print(json.dumps(results))
 """
 
 
+def run_with_warnings_as_errors(cases) -> list:
+    """[exit code, stderr] of ``main`` for each argument list, all in one
+    child process that runs with warnings as errors, so that a warning
+    inside the library escapes as a traceback instead."""
+    argv = json.dumps([[str(a) for a in case] for case in cases])
+    env = dict(os.environ, PYTHONPATH=str(Path(hodgeform.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _CHILD, argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
 def test_tiny_weights_fail_with_their_documented_exit_code(tmp_path):
     # a subnormal weight has an infinite reciprocal: a usage error (exit 2);
     # a tiny normal one fails the residual certificate (exit 3).  Run with
@@ -202,14 +216,7 @@ def test_tiny_weights_fail_with_their_documented_exit_code(tmp_path):
         cases.append(["analyze", complex_path, "--all", *given, report])
         cases.append(["search", complex_path, "--init", "file", *given, tmp_path / "s.json"])
         want += [(value, report), (value, None)]
-    argv = json.dumps([[str(a) for a in case] for case in cases])
-    env = dict(os.environ, PYTHONPATH=str(Path(hodgeform.__file__).parents[1]))
-    child = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _CHILD, argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert child.returncode == 0, child.stderr
-    results = json.loads(child.stdout)
+    results = run_with_warnings_as_errors(cases)
     assert len(results) == len(want)
     for (value, report), (code, err) in zip(want, results):
         if value < np.finfo(np.float64).tiny:
@@ -224,6 +231,38 @@ def test_tiny_weights_fail_with_their_documented_exit_code(tmp_path):
             errors = json.loads(report.read_text())["errors"]
             assert set(errors) == {"hodge", "formality"}, errors
             assert all(e.startswith(failure) for e in errors.values()), errors
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_far_apart_weights_fail_with_their_documented_exit_code(tmp_path):
+    # weights 10**U(-span, span) on T^3 # T^3 make the 49-row normal matrix
+    # N_1 numerically singular.  Each is a numerical failure (exit 3) that
+    # names its degree, with no warning or traceback; which certificate
+    # catches it first may depend on the LAPACK build
+    complex_path = tmp_path / "sum.json"
+    assert run(["generate", "connsum:torus:3,torus:3", "-o", complex_path]) == 0
+    K = parse_zoo_identifier(str(complex_path))
+    draws = ((2, 150), (7, 150), (3, 300))
+    cases = []
+    for seed, span in draws:
+        rng = np.random.default_rng(seed)
+        weights = [list(10.0 ** rng.uniform(-span, span, f)) for f in K.f_vector]
+        weights_path = tmp_path / f"w{seed}.json"
+        weights_path.write_text(json.dumps({"weights": weights}))
+        given = ["--weights", weights_path, "-o"]
+        cases.append(["analyze", complex_path, "--all", *given, tmp_path / f"r{seed}.json"])
+        cases.append(["search", complex_path, "--init", "file", *given, tmp_path / "s.json"])
+    results = run_with_warnings_as_errors(cases)
+    assert len(results) == 2 * len(draws)
+    for i, (seed, _) in enumerate(draws):
+        (analyze_code, analyze_err), (search_code, search_err) = results[2 * i : 2 * i + 2]
+        assert analyze_code == 3 and analyze_err == "", (seed, analyze_err)
+        errors = json.loads((tmp_path / f"r{seed}.json").read_text())["errors"]
+        assert set(errors) == {"hodge", "formality"}, errors
+        assert all(e.startswith("degree-1 ") for e in errors.values()), (seed, errors)
+        assert search_code == 3, (seed, search_err)
+        assert search_err.startswith("numerical failure: degree-1 "), (seed, search_err)
+        assert "Traceback" not in search_err
     assert not (tmp_path / "s.json").exists()
 
 

@@ -10,6 +10,7 @@ from hodgeform.cli import main
 from hodgeform.complexes import (
     SimplicialComplex,
     build_complex,
+    connected_sum,
     product_complex,
     sphere,
     surface,
@@ -182,55 +183,169 @@ def test_normal_matrix_pattern_matches_the_dense_product(small_zoo):
             # and bitwise the sparse product D^T (W D), same terms in the same order
             product = D.T @ (sp.diags(w.degree(k)) @ D)
             assert np.array_equal(got, product.toarray()), (name, k)
+            # as is the dense matrix of an N_k at most the dense cut
+            if ops.normal[k].size <= hodge._DENSE_ROWS:
+                assert np.array_equal(ops.normal[k].dense_at(w.degree(k)), got), (name, k)
+            else:
+                assert ops.normal[k].dense_positions is None, (name, k)
 
 
-def test_factors_use_the_stored_elimination_order(tmp_path, monkeypatch):
-    # the fill-reducing order is computed once per complex, so every factor
-    # of N_k, for any weights, runs in the stored order of D
-    specs = []
+def spy_on_splu(monkeypatch) -> list:
+    """Record (rows, permc_spec) of every SuperLU factor from now on."""
+    calls = []
     splu = scipy.sparse.linalg.splu
 
     def spy(A, permc_spec=None, **kwargs):
-        specs.append(permc_spec)
+        calls.append((A.shape[0], permc_spec))
         return splu(A, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-    K = product_complex(sphere(2), sphere(2))
-    base = random_weights(K, 3)
+    return calls
+
+
+def candidate_stream(K, seed, count) -> list[tuple[int, int]]:
+    """formality_residual at random weights, then at ``count`` moves of one
+    coordinate each; returns the moved (degree, index) pairs."""
+    base = random_weights(K, seed)
     coordinates = [(k, i) for k in range(1, K.dimension + 1) for i in range(K.simplex_count(k))]
-    picks = np.random.default_rng(3).choice(len(coordinates), size=50, replace=False)
+    picks = np.random.default_rng(seed).choice(len(coordinates), size=count, replace=False)
     moved = [coordinates[p] for p in picks]
     formality_residual(K, base)
     for k, i in moved:
         scaled = base.degree(k).copy()
         scaled[i] *= 1.5
         formality_residual(K, base.replace(k, scaled))
+    return moved
+
+
+def test_small_normal_matrices_never_reach_superlu(s2xs2, monkeypatch):
+    # N_2 and N_4 of S^2 x S^2 (69 and 95 rows) are factored dense; N_1 and
+    # N_3 belong to degrees without harmonic cochains, which factor nothing
+    calls = spy_on_splu(monkeypatch)
+    candidate_stream(s2xs2, 3, 50)
+    assert calls == []
+
+
+def test_dense_factor_cut_is_at_128_rows(monkeypatch):
+    # a cycle on n vertices has an N_1 of n - 1 rows
+    calls = spy_on_splu(monkeypatch)
+    for n, sparse in ((129, 0), (130, 1)):
+        K = build_complex([(i, (i + 1) % n) for i in range(n)])
+        assert hodge._operators(K).normal[1].size == n - 1
+        harmonic_basis(K, unit_weights(K), 1)
+        assert len(calls) == sparse, n
+    assert calls == [(129, "NATURAL")]
+
+
+def test_factors_use_the_stored_elimination_order(tmp_path, monkeypatch):
+    # the fill-reducing order is computed once per complex, so every sparse
+    # factor of N_k, for any weights, runs in the stored order of D.  On
+    # T^3 # T^3 (Betti 1, 6, 6, 1) N_1 has 49 rows and is factored dense;
+    # N_2 and N_3 have 317 and 321
+    calls = spy_on_splu(monkeypatch)
+    # a memo that holds the whole stream, on a complex of this test's own:
+    # runs of moves in one degree would otherwise evict a base split, whose
+    # rebuild factors again
+    monkeypatch.setattr(hodge, "_MEMO_SIZE", 10_000)
+    moved = candidate_stream(connected_sum(torus(3), torus(3)), 3, 30)
     path = tmp_path / "t3.json"
     assert main(["generate", "torus:3", "-o", str(path)]) == 0
     assert main(["analyze", str(path), "--all", "-o", str(tmp_path / "report.json")]) == 0
-    # N_2 and N_4 for the base, then one factor per move of w_2 or w_4
-    # (S^2 x S^2 has no harmonic 1- or 3-cochains, so a move there factors
-    # nothing), and N_1..N_3 once for the whole analyze pass
-    assert len(specs) == 2 + sum(k in (2, 4) for k, _ in moved) + 3
-    assert set(specs) == {"NATURAL"}
+    # N_2 and N_3 for the base, then one factor per move of w_2 or w_3, and
+    # for torus:3 N_2 and N_3 (160 and 161 rows) once for the whole analyze pass
+    assert len(calls) == 2 + sum(k in (2, 3) for k, _ in moved) + 2
+    assert {spec for _, spec in calls} == {"NATURAL"}
+    assert min(rows for rows, _ in calls) > hodge._DENSE_ROWS
 
 
-def test_stored_order_fills_no_more_than_minimum_degree(small_zoo):
+def test_stored_order_fills_no_more_than_minimum_degree(small_zoo, torus3_sum):
     # the factor in the stored order against SuperLU's own ordering of the
-    # normal matrix built in the reduction's column order
+    # normal matrix built in the reduction's column order, for every N_k
+    # above the dense cut
     options = dict(SymmetricMode=True, DiagPivotThresh=0.0)
-    for name, K in small_zoo.items():
+    checked = []
+    for name, K in {**small_zoo, "torus:3 # torus:3": torus3_sum}.items():
         w = random_weights(K, 4)
         ops = hodge._operators(K)
         independent = cohomology_reduction(K).independent
         for k in range(1, K.dimension + 1):
-            D = ops.d[k - 1][:, independent[k - 1]].tocsc()
-            if not D.shape[1]:
+            if ops.normal[k].size <= hodge._DENSE_ROWS:
                 continue
+            D = ops.d[k - 1][:, independent[k - 1]].tocsc()
             N = (D.T @ (sp.diags(w.degree(k)) @ D)).tocsc()
             mmd = scipy.sparse.linalg.splu(N, permc_spec="MMD_AT_PLUS_A", options=options)
-            stored = hodge._normal_factor(ops, w, k)
+            stored = hodge._normal_factor(ops, w, k).__self__
             assert stored.L.nnz + stored.U.nnz <= mmd.L.nnz + mmd.U.nnz, (name, k)
+            checked.append((name, k))
+    assert len(checked) == 5, checked
+
+
+def bases_with_cut(K, weights, rows, monkeypatch):
+    """harmonic_basis vectors of every (weights, degree), None where a
+    certificate fails, from fresh operators whose N_k of at most ``rows``
+    rows are factored dense."""
+    monkeypatch.setattr(hodge, "_DENSE_ROWS", rows)
+    ops = hodge._Operators(K)
+    monkeypatch.setattr(hodge, "_operators", lambda _: ops)
+    out = {}
+    for i, w in enumerate(weights):
+        for k in range(K.dimension + 1):
+            try:
+                out[i, k] = harmonic_basis(K, w, k).vectors
+            except NumericalError:
+                out[i, k] = None
+    return out
+
+
+def test_dense_and_sparse_factors_give_the_same_bases(small_zoo, monkeypatch):
+    # both factors solve with N_k, so the bases differ by round-off, which a
+    # backward-stable solve bounds by a small multiple of eps * cond(N_k):
+    # 1e-12 up to cond(N_k) of about 3e2, 1.2e-11 on torus:3 N_3 (2e5)
+    eps = np.finfo(np.float64).eps
+    for name, K in small_zoo.items():
+        rng = np.random.default_rng(8)
+        weights = [random_weights(K, 0), random_weights(K, 1)]
+        # far-apart weights, which fail a certificate in some degrees
+        weights.append(MetricWeights(tuple(10.0 ** rng.uniform(-6, 6, f) for f in K.f_vector)))
+        with monkeypatch.context() as m:
+            dense = bases_with_cut(K, weights, max(K.f_vector), m)
+        with monkeypatch.context() as m:
+            sparse = bases_with_cut(K, weights, 0, m)
+        ops = hodge._operators(K)
+        for (i, k), a in dense.items():
+            b = sparse[i, k]
+            assert (a is None) == (b is None), (name, i, k)
+            if a is None or not a.size:
+                continue
+            cond = np.linalg.cond(ops.normal[k].at(weights[i].degree(k)).toarray()) if k else 1.0
+            bound = max(1e-12, 16 * eps * cond)
+            np.testing.assert_allclose(a, b, rtol=0, atol=bound, err_msg=f"{name} {i} {k}")
+
+
+@pytest.mark.parametrize(
+    "seed, span, k, failure",
+    [
+        # SuperLU finds the 317- and 321-row N_2 and N_3 singular
+        (1, 50, 3, "^degree-3 normal matrix is numerically singular$"),
+        (2, 150, 2, "^degree-2 normal matrix is numerically singular$"),
+        # the Gram product overflows
+        (0, 150, 2, "^degree-2 Gram matrix of the projected cocycles is not finite$"),
+        # through the 49-row N_1, factored dense; which certificate catches
+        # these first may depend on the LAPACK build
+        (7, 150, 1, "^degree-1 "),
+        (2, 150, 1, "^degree-1 "),
+        (3, 300, 1, "^degree-1 "),
+    ],
+)
+def test_far_apart_weights_fail_as_numerical_errors(torus3_sum, seed, span, k, failure):
+    # weights 10**U(-span, span): a NumericalError that names the degree,
+    # with no warning on the way
+    rng = np.random.default_rng(seed)
+    w = MetricWeights(tuple(10.0 ** rng.uniform(-span, span, f) for f in torus3_sum.f_vector))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=failure):
+            harmonic_basis(torus3_sum, w, k)
 
 
 def test_vertex_laplacian_of_circle_is_graph_laplacian(spheres):
