@@ -131,9 +131,16 @@ class Orientation:
     facet_signs: tuple[int, ...]
 
 
+def _vertex_id(v) -> int:
+    # bool subclasses int, but true and false are not vertex ids
+    if isinstance(v, bool):
+        raise TypeError("a boolean is not a vertex id")
+    return operator.index(v)
+
+
 def _validate_facet(facet) -> tuple[int, ...]:
     try:
-        vertices = tuple(operator.index(v) for v in facet)
+        vertices = tuple(map(_vertex_id, facet))
     except TypeError:
         raise ValueError(f"facet {facet!r} has a non-integer vertex id") from None
     if not vertices:

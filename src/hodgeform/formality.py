@@ -156,27 +156,23 @@ def formality_residual(
     residual over the pair records.  The pairs of each degree pair (k, l)
     are evaluated as one block, the norms of each degree in one product.
 
-    Every basis is certified by :func:`harmonic_basis` on every call.  The
-    basis rows and norm records of degree k (which read w_k) and the pair
-    records of (k, l) (which read w_k, w_l and w_{k+l}) then come from the
-    per-complex memo of :mod:`hodgeform.hodge`, so a candidate that moves
-    one degree recomputes only what reads that degree.  A degree without
-    harmonic cochains has no rows, records or memo entry.
+    Every basis is certified by :func:`harmonic_basis` on every call, and
+    its transposed ``vectors`` are the rows multiplied, without a copy.  The
+    norm records of degree k (which read w_k) and the pair records of (k, l)
+    (which read w_k, w_l and w_{k+l}) then come from the per-complex memo of
+    :mod:`hodgeform.hodge`, so a candidate that moves one degree recomputes
+    only what reads that degree.  A degree without harmonic cochains has no
+    rows, records or memo entry.
     """
     n = K.dimension
-    bases = [harmonic_basis(K, w, k, tol).vectors for k in range(n + 1)]
-    norms = [
-        memoized(K, w, "rows", (k,), lambda: _norm_entry(K, w, k, bases[k]))
-        if bases[k].shape[1]
-        else (np.empty((0, len(bases[k]))), ())
-        for k in range(n + 1)
-    ]
-    rows = [entry[0] for entry in norms]
+    rows = [harmonic_basis(K, w, k, tol).vectors.T for k in range(n + 1)]
     report = FormalityReport(aggregate=0.0, tolerance=tol)
     for k in range(n + 1):
         if not len(rows[k]):
             continue
-        report.norm_constancy += norms[k][1]
+        report.norm_constancy += memoized(
+            K, w, "norms", (k,), lambda: _norm_records(K, w, k, rows[k])
+        )
         for l in range(n + 1 - k):
             if len(rows[l]):
                 report.pairs += memoized(
@@ -186,12 +182,10 @@ def formality_residual(
     return report
 
 
-def _norm_entry(K, w, k, H) -> tuple[np.ndarray, tuple[NormRecord, ...]]:
-    # the read-only rows of the degree-k basis and their norm records
-    rows = np.ascontiguousarray(H.T)
-    rows.flags.writeable = False
+def _norm_records(K, w, k, rows) -> tuple[NormRecord, ...]:
+    # the norm records of the degree-k basis rows
     variation = _norm_variation(K, w, k, rows).tolist()
-    return rows, tuple(NormRecord(k, i, v) for i, v in enumerate(variation))
+    return tuple(NormRecord(k, i, v) for i, v in enumerate(variation))
 
 
 def _pair_records(K, w, k, l, rows) -> tuple[PairRecord, ...]:

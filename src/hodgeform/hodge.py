@@ -41,12 +41,12 @@ Everything else goes through one bounded LRU memo per complex,
 ``_Operators.memo``, keyed by a tag, the degrees the value reads and those
 degrees' keys.  The split of degree k is keyed by w_k; its certified
 residual by (w_{k-1}, w_k, w_{k+1}), because ||Delta_k h||_w reads all
-three; :mod:`hodgeform.formality` keys its basis rows and norm records by
-w_k and its pair blocks by (w_k, w_l, w_{k+l}).  A degree without harmonic
-cochains gets no entry: its empty basis has residual 0 and is built anew on
-each call, at no cost.  A value enters the memo only when its build
-returned, so only results that passed their certificates are kept, and each
-is computed by the same code from the same inputs as without the memo.  The
+three; :mod:`hodgeform.formality` keys its norm records by w_k and its
+pair blocks by (w_k, w_l, w_{k+l}).  A degree without harmonic cochains
+gets no entry: its empty basis has residual 0 and is built anew on each
+call, at no cost.  A value enters the memo only when its build returned,
+so only results that passed their certificates are kept, and each is
+computed by the same code from the same inputs as without the memo.  The
 memo holds at most _MEMO_SIZE entries; a search move changes one degree, so
 the entries of the degrees it leaves alone are hits.
 
@@ -95,7 +95,7 @@ DEFAULT_TOL = 1e-9
 # Largest accepted harmonicity residual ||Delta v||_w of a unit basis vector.
 RESIDUAL_LIMIT = 1e-8
 # Entries of the per-complex memo.  One weight state of a dimension-4
-# complex fills at most 30: 5 splits, 5 residuals, 5 basis-row entries and
+# complex fills at most 30: 5 splits, 5 residuals, 5 norm-record entries and
 # 15 pair blocks, fewer where a degree has no harmonic cochains.  64 holds
 # two such states, the current weights and a candidate.
 # Factors of N_k stay out of the memo, one per degree (for the latest w_k):
@@ -351,8 +351,10 @@ class HarmonicBasis:
     """w-orthonormal basis of the harmonic k-cochains, in class order.
 
     ``vectors`` has one column per basis element (read-only; it is shared
-    between calls with equal degree-k weights); cardinality always equals
-    the Betti number.  ``residual`` is the worst harmonicity defect
+    between calls with equal degree-k weights).  It is stored column-major,
+    so ``vectors.T`` is a C-contiguous view with one basis element per row,
+    the layout :func:`hodgeform.cup.cup` takes.  The cardinality always
+    equals the Betti number.  ``residual`` is the worst harmonicity defect
     ||Delta v||_w over the (unit) basis vectors, and ``gram_rcond`` the
     reciprocal condition of the Gram matrix of the projected cocycles, the
     margin that the ``tol`` of :func:`harmonic_basis` certifies.
@@ -466,6 +468,7 @@ def _build_split(ops: _Operators, w: MetricWeights, k: int) -> _Split:
             f"projected degree-{k} cocycles are numerically dependent "
             f"(Gram reciprocal condition {rcond:.3e})"
         ) from None
+    H = np.asfortranarray(H)
     H.flags.writeable = False
     return _Split(H, rcond)
 

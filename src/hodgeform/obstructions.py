@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Container
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from math import comb
 from typing import NamedTuple
 
@@ -130,16 +130,9 @@ class CohomologySummary:
 
 @dataclass(frozen=True, eq=False)
 class FiredRule:
-    rule_id: str
+    rule: str
     citation: str
     violation: str
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule_id,
-            "citation": self.citation,
-            "violation": self.violation,
-        }
 
 
 @dataclass(eq=False)
@@ -151,15 +144,10 @@ class ObstructionReport:
 
     @property
     def fired_ids(self) -> tuple[str, ...]:
-        return tuple(r.rule_id for r in self.fired)
+        return tuple(r.rule for r in self.fired)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "fired": [r.to_dict() for r in self.fired],
-            "not_evaluated": list(self.not_evaluated),
-            "model": self.model,
-        }
+        return asdict(self)
 
 
 def _middle_ranks(s):
@@ -344,28 +332,24 @@ def summarize(K: SimplicialComplex) -> CohomologySummary:
 
 
 def summary_to_dict(s: CohomologySummary) -> dict:
-    out = {
-        "name": s.name,
-        "dimension": s.dimension,
-        "betti": list(s.betti),
-        "orientable": s.orientable,
-    }
-    if s.has_middle_data:
-        out["b_plus"] = s.b_plus
-        out["b_minus"] = s.b_minus
-    return out
+    # b_plus and b_minus are None together, and then left out
+    out = {key: value for key, value in asdict(s).items() if value is not None}
+    return {**out, "betti": list(s.betti)}
 
 
 def load_summary(path) -> CohomologySummary:
     """Read a summary JSON: {"name", "dimension", "betti", "orientable",
-    "b_plus"?, "b_minus"?}."""
+    "b_plus"?, "b_minus"?}.  Any other key is an error, since a misspelt
+    key would otherwise drop its value and change the verdict."""
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")
     if "dimension" not in payload or "betti" not in payload:
         raise ValueError(f"{path}: summary needs 'dimension' and a 'betti' list")
-    known = {f.name: payload[f.name] for f in fields(CohomologySummary) if f.name in payload}
+    unknown = sorted(set(payload) - {f.name for f in fields(CohomologySummary)})
+    if unknown:
+        raise ValueError(f"{path}: unknown summary keys {', '.join(map(repr, unknown))}")
     try:
-        return CohomologySummary(**known)
+        return CohomologySummary(**payload)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -340,6 +340,14 @@ def test_check_first_betti_gap(tmp_path):
     assert fired == ["R3", "R7"]
 
 
+def test_analyze_rejects_boolean_vertex_ids(tmp_path, capsys):
+    complex_path = tmp_path / "b.json"
+    facets = [[True, False, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    complex_path.write_text(json.dumps({"name": "b", "facets": facets}))
+    assert run(["analyze", complex_path, "--betti"]) == 2
+    assert "non-integer vertex id" in capsys.readouterr().err
+
+
 def test_check_rejects_schema_violation(tmp_path):
     summary = tmp_path / "bad.json"
     summary.write_text(json.dumps({"dimension": 4}))
@@ -350,6 +358,16 @@ def test_check_rejects_schema_violation(tmp_path):
     coerced = {"dimension": 2, "betti": [1, 2.7, 1], "orientable": "false"}
     summary.write_text(json.dumps(coerced))
     assert run(["check", summary]) == 2
+
+
+def test_check_rejects_unknown_summary_keys(tmp_path, capsys):
+    # dropping the misspelt "b+" and "b-" would leave R2, R10 and R11
+    # unevaluated and let the summary pass
+    summary = tmp_path / "typo.json"
+    typo = {"name": "x", "dimension": 4, "betti": [1, 0, 2, 0, 1], "orientable": True}
+    summary.write_text(json.dumps({**typo, "b+": 1, "b-": 1}))
+    assert run(["check", summary]) == 2
+    assert "unknown summary keys 'b+', 'b-'" in capsys.readouterr().err
 
 
 def test_check_refuses_middle_data_outside_dimensions_divisible_by_four(tmp_path):

@@ -87,6 +87,17 @@ def test_negative_vertex_rejected():
         build_complex([(-1, 0)])
 
 
+def test_boolean_vertex_ids_rejected(tmp_path):
+    # bool subclasses int, but true and false are not the vertex ids 1 and 0
+    facets = [[True, False, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    with pytest.raises(ValueError, match="non-integer vertex id"):
+        build_complex(facets)
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"name": "b", "facets": facets}))
+    with pytest.raises(ValueError, match="non-integer vertex id"):
+        load_complex(path)
+
+
 def test_vertices_renumbered_densely():
     K = build_complex([(10, 20), (20, 42)])
     assert K.vertex_count == 3

@@ -9,7 +9,8 @@ from hodgeform.formality import (
     formality_residual,
     search_formal_weights,
 )
-from hodgeform import hodge
+from hodgeform import formality, hodge
+from hodgeform.cup import cup
 from hodgeform.errors import NumericalError
 from hodgeform.hodge import (
     MetricWeights,
@@ -17,7 +18,7 @@ from hodgeform.hodge import (
     random_weights,
     unit_weights,
 )
-from hodgeform.homology import boundary_matrix
+from hodgeform.homology import betti_numbers, boundary_matrix
 
 from test_cup import loop_cup
 
@@ -268,21 +269,48 @@ def test_report_matches_per_pair_oracle(tori, s2xs2, surfaces):
 
 
 def test_degrees_without_harmonic_cochains_keep_no_memo_entries():
-    # S^2 x S^2 has b_1 = b_3 = 0: no split, residual or basis-row entry is
-    # built for those degrees, and their empty bases have residual 0
+    # S^2 x S^2 has b_1 = b_3 = 0: no split, residual or norm-record entry
+    # is built for those degrees, and their empty bases have residual 0
     K = product_complex(sphere(2), sphere(2))
     w = random_weights(K, 8)
     formality_residual(K, w)
     built = {(tag, degrees) for tag, degrees, *_ in hodge._operators(K).entries}
     for k in (0, 2, 4):
         near = tuple(range(max(k - 1, 0), min(k + 1, K.dimension) + 1))
-        assert {("split", (k,)), ("rows", (k,)), ("residual", near)} <= built, k
+        assert {("split", (k,)), ("norms", (k,)), ("residual", near)} <= built, k
     for k in (1, 3):
         near = (k - 1, k, k + 1)
-        assert not built & {("split", (k,)), ("rows", (k,)), ("residual", near)}, k
+        assert not built & {("split", (k,)), ("norms", (k,)), ("residual", near)}, k
         basis = harmonic_basis(K, w, k)
         assert basis.residual == 0.0 and basis.cardinality == 0
     assert built == {(tag, degrees) for tag, degrees, *_ in hodge._operators(K).entries}
+    # the norm entries hold records only, no copy of a basis
+    entries = hodge._operators(K).entries.items()
+    norms = [value for (tag, *_), value in entries if tag == "norms"]
+    assert len(norms) == 3
+    assert not any(isinstance(r, np.ndarray) for value in norms for r in value)
+
+
+@pytest.mark.parametrize(
+    "K", [torus(2), product_complex(sphere(2), sphere(2))], ids=lambda K: K.name
+)
+def test_cup_reads_each_certified_basis_in_place(K, monkeypatch):
+    # the rows the probe multiplies are the stored basis, transposed as a
+    # C-contiguous view, not a copy
+    w = random_weights(K, 3)
+    factors = []
+
+    def recording_cup(K, A, k, B, l):
+        factors.extend([(k, A), (l, B)])
+        return cup(K, A, k, B, l)
+
+    monkeypatch.setattr(formality, "cup", recording_cup)
+    formality_residual(K, w)
+    degrees = {k for k, _ in factors}
+    assert degrees == {k for k in range(K.dimension + 1) if betti_numbers(K)[k]}
+    for k, rows in factors:
+        assert rows.flags.c_contiguous, k
+        assert np.shares_memory(rows, harmonic_basis(K, w, k).vectors), k
 
 
 def test_warm_and_fresh_complexes_agree_bitwise(s2xs2):

@@ -93,6 +93,35 @@ def test_k3_summary_fires_r1_r2_r11():
     assert report.fired_ids == ("R1", "R2", "R11")
 
 
+def test_k3_verdict_payload():
+    assert check_obstructions(load_summary(bundled("k3"))).to_dict() == {
+        "verdict": "obstructed",
+        "fired": [
+            {
+                "rule": "R1",
+                "citation": "every degree-k Betti number is bounded by the k-th binomial "
+                "coefficient C(n, k), the value attained by the n-torus",
+                "violation": "b_2 = 22 > 6 = C(4,2)",
+            },
+            {
+                "rule": "R2",
+                "citation": "in dimension 4m the middle self-dual and anti-self-dual ranks "
+                "are bounded by their torus values C(n, n/2)/2",
+                "violation": "b- = 19 > 3",
+            },
+            {
+                "rule": "R11",
+                "citation": "dimension 4 with b_1 = 0: b+ = 3 and b- = 3 are impossible "
+                "(the characteristic-number count 4 + 5*b+ - b- cannot vanish), "
+                "leaving only the values 0 and 1",
+                "violation": "b+ = 3",
+            },
+        ],
+        "not_evaluated": [],
+        "model": None,
+    }
+
+
 def test_four_torus_passes(tori):
     report = check_obstructions(summarize(tori[4]))
     assert report.verdict == "passes-elementary-tests"
@@ -149,7 +178,7 @@ def test_rules_report_every_violation():
     report = check_obstructions(s)
     fired = set(report.fired_ids)
     assert {"R1", "R2", "R7"} <= fired
-    r1 = next(r for r in report.fired if r.rule_id == "R1")
+    r1 = next(r for r in report.fired if r.rule == "R1")
     assert "b_1" in r1.violation and "b_2" in r1.violation
 
 
@@ -245,7 +274,7 @@ def test_every_rule_fires_with_its_pinned_violation():
         report = check_obstructions(
             CohomologySummary(n, betti, b_plus=plus, b_minus=minus)
         )
-        assert [(r.rule_id, r.violation) for r in report.fired] == fired, betti
+        assert [(r.rule, r.violation) for r in report.fired] == fired, betti
         assert report.not_evaluated == not_evaluated, betti
         assert report.verdict == ("obstructed" if fired else "passes-elementary-tests")
         assert report.model is None
@@ -412,6 +441,17 @@ def test_load_summary_rejects_bad_files(tmp_path):
         # the constructor refuses the same fields from a library caller
         with pytest.raises(ValueError):
             CohomologySummary(**payload)
+
+
+def test_load_summary_names_unknown_keys(tmp_path):
+    import json
+
+    # a misspelt key is named, not dropped
+    path = tmp_path / "typo.json"
+    payload = {"dimension": 4, "betti": [1, 0, 2, 0, 1], "b+": 1, "b-": 1}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="unknown summary keys 'b\\+', 'b-'"):
+        load_summary(path)
 
 
 def test_suspended_torus_fails_duality(suspended_torus3):
