@@ -9,7 +9,6 @@ minimizing weights, and the elementary low-dimensional obstruction rules.
 __version__ = "0.1.0"
 
 from .complexes import (
-    Orientation,
     SimplicialComplex,
     build_complex,
     connected_sum,
@@ -59,7 +58,6 @@ from .obstructions import (
 __all__ = [
     "__version__",
     "SimplicialComplex",
-    "Orientation",
     "build_complex",
     "is_closed_pseudomanifold",
     "orient",

@@ -7,8 +7,9 @@ search, persisting the best weights plus a CSV residual trace).
 ``analyze`` times each requested stage in pipeline order, and its
 ``obstructions`` section is the verdict payload ``check`` prints.
 
-All file outputs are canonical JSON (sorted keys, stable float repr), so
-reports are byte-stable across runs apart from the recorded timings.
+All file outputs are canonical JSON (sorted keys, stable float repr): reports
+of one build are byte-stable apart from the timings; across builds, compare
+``spectral_gap``, ``residual`` and ``variation`` with a tolerance (README).
 
 Exit codes: 0 success; 1 the analysis ran fine and found an obstructed
 verdict; 2 usage or input-schema error, including an ``analyze`` stage that

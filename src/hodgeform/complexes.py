@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "SimplicialComplex",
-    "Orientation",
     "build_complex",
     "is_closed_pseudomanifold",
     "orient",
@@ -124,13 +123,6 @@ class SimplicialComplex:
         return self.derived(f"faces:{k}:{positions}", build)
 
 
-@dataclass(frozen=True, eq=False)
-class Orientation:
-    """A consistent sign per facet: induced ridge orientations cancel."""
-
-    facet_signs: tuple[int, ...]
-
-
 def _vertex_id(v) -> int:
     # bool subclasses int, but true and false are not vertex ids
     if isinstance(v, bool):
@@ -192,19 +184,19 @@ def _ridge_incidence(K: SimplicialComplex) -> np.ndarray:
     )
 
 
-def _facet_graph(K: SimplicialComplex) -> tuple[bool, Orientation | None]:
-    """(closed, orientation) from one walk over the facet adjacency graph.
+def _facet_graph(K: SimplicialComplex) -> tuple[bool, tuple[int, ...] | None]:
+    """(closed, facet signs) from one walk over the facet adjacency graph.
 
     Closed means every ridge lies in exactly two facets and the walk from
     facet 0 reaches every facet.  The walk gives each facet the sign that
     cancels the induced orientation of the ridge it was reached through;
-    the orientation is None unless every ridge then cancels.
+    the signs are None unless every ridge then cancels.
     """
     facet_count = len(K.facets)
     n = K.dimension
     if n == 0 or not facet_count:
         closed = facet_count == 1
-        return closed, Orientation((1,)) if closed else None
+        return closed, (1,) if closed else None
     slots = _ridge_incidence(K).ravel()
     if np.any(np.bincount(slots, minlength=K.simplex_count(n - 1)) != 2):
         return False, None
@@ -228,7 +220,7 @@ def _facet_graph(K: SimplicialComplex) -> tuple[bool, Orientation | None]:
         return False, None
     signed = np.array(signs)
     consistent = np.array_equal(signed[facet[1]], flips * signed[facet[0]])
-    return True, Orientation(tuple(signs)) if consistent else None
+    return True, tuple(signs) if consistent else None
 
 
 def is_closed_pseudomanifold(K: SimplicialComplex) -> bool:
@@ -237,17 +229,17 @@ def is_closed_pseudomanifold(K: SimplicialComplex) -> bool:
     return K.derived("facet_graph", _facet_graph)[0]
 
 
-def orient(K: SimplicialComplex) -> Orientation | None:
-    """Propagate facet signs across ridges; None when no consistent choice
-    exists (non-orientable).
+def orient(K: SimplicialComplex) -> tuple[int, ...] | None:
+    """A consistent sign per facet, propagated across ridges so that induced
+    ridge orientations cancel; None when no such choice exists.
 
     The facet with the lexicographically smallest vertex tuple gets +1, so
     the result is deterministic.  Computed once per complex.
     """
-    closed, orientation = K.derived("facet_graph", _facet_graph)
+    closed, signs = K.derived("facet_graph", _facet_graph)
     if not closed:
         raise ValueError("orient requires a closed pseudomanifold")
-    return orientation
+    return signs
 
 
 def product_complex(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
@@ -293,13 +285,11 @@ def connected_sum(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialCom
     built once: every glued ridge asks for the same global sign
     -s1(f1) s2(f2) on the second summand, whose orientation is free up to
     that sign, so the gluing always orients (RuntimeError if it does not).
-    Inputs must be closed, orientable and of equal dimension <= 4.
+    Inputs must be closed, orientable and of equal dimension.
     """
     n = K1.dimension
     if K2.dimension != n:
         raise ValueError(f"dimension mismatch: {n} vs {K2.dimension}")
-    if n > 4:
-        raise ValueError("connected sums are supported up to dimension 4")
     for K in (K1, K2):
         if not is_closed_pseudomanifold(K):
             raise ValueError("connected sum requires closed pseudomanifolds")

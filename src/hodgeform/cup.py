@@ -111,7 +111,7 @@ def _pairing(K: SimplicialComplex) -> IntersectionForm:
     m = K.dimension // 2
     X = cohomology_reduction(K).cocycles[m].astype(object)
     front, back = _faces(K, m, m)
-    signs = np.array(orient(K).facet_signs, dtype=object)
+    signs = np.array(orient(K), dtype=object)
     # Python-int products; the int64 conversion raises rather than wraps.
     # On cocycles the pairing is exactly (skew-)symmetric: x cup y and
     # +-y cup x differ by a coboundary, which the fundamental class kills.

@@ -38,7 +38,7 @@ the weights is kept next to it, in two places, keyed by
 ``MetricWeights.keys``.  The factor of N_k is kept for the latest w_k of
 each degree only, since it can be far larger than what it produces.
 Everything else goes through one bounded LRU memo per complex,
-``_Operators.memo``, keyed by a tag, the degrees the value reads and those
+:func:`memoized`, keyed by a tag, the degrees the value reads and those
 degrees' keys.  The split of degree k is keyed by w_k; its certified
 residual by (w_{k-1}, w_k, w_{k+1}), because ||Delta_k h||_w reads all
 three; :mod:`hodgeform.formality` keys its norm records by w_k and its
@@ -194,14 +194,6 @@ def _check_weights(K: SimplicialComplex, w: MetricWeights) -> None:
             raise ValueError(f"degree-{k} weights have shape {a.shape}, expected ({count},)")
 
 
-@dataclass(frozen=True, eq=False)
-class _Split:
-    """The degree-k harmonic basis for one w_k."""
-
-    vectors: np.ndarray
-    gram_rcond: float
-
-
 class _NormalMatrix:
     """N_k = D^T W_k D for any w_k, from a pattern built once per complex.
 
@@ -277,17 +269,17 @@ def _elimination_order(D: sp.csc_matrix) -> np.ndarray:
 class _Operators:
     """What one complex needs for every weight: float coboundaries, the
     exact-span columns D in elimination order, both with their transposes,
-    the pattern of N_k and the cocycles per degree, plus the bounded memo of
-    weight-dependent results and the latest factor of N_k per degree."""
+    the pattern of N_k and the cocycles per degree, plus the memo entries of
+    :func:`memoized` and the latest factor of N_k per degree."""
 
     def __init__(self, K: SimplicialComplex):
         red = cohomology_reduction(K)
         n = K.dimension
         self.d = tuple(d.tocsr().astype(np.float64) for d in red.coboundaries)
         # exact_span[k] = d_{k-1} restricted to its independent columns
-        # J_{k-1} = independent[k - 1], both stored in the elimination order
-        # of N_k, so that every factor of N_k runs in the stored order
-        independent, spans = list(red.independent), [None]
+        # J_{k-1} = independent[k - 1] (no columns at k = 0), both stored in
+        # the elimination order of N_k, so every factor of N_k runs in it
+        independent, spans = list(red.independent), [sp.csc_matrix((K.simplex_count(0), 0))]
         for k in range(1, n + 1):
             D = self.d[k - 1][:, independent[k - 1]].tocsc()
             order = _elimination_order(D)
@@ -296,24 +288,12 @@ class _Operators:
         self.independent, self.exact_span = tuple(independent), tuple(spans)
         # transposes taken once; each shares the arrays of its matrix
         self.d_T = tuple(d.T for d in self.d)
-        self.exact_span_T = (None,) + tuple(D.T for D in self.exact_span[1:])
-        self.normal = (None,) + tuple(_NormalMatrix(D) for D in self.exact_span[1:])
+        self.exact_span_T = tuple(D.T for D in self.exact_span)
+        self.normal = tuple(_NormalMatrix(D) for D in self.exact_span)
         self.cocycles = tuple(X.astype(np.float64) for X in red.cocycles)
         self.entries: OrderedDict[tuple, object] = OrderedDict()
         # degree -> (key of w_k, solver of N_k from its factor for those weights)
         self.factors: dict[int, tuple[bytes, Callable[[np.ndarray], np.ndarray]]] = {}
-
-    def memo(self, key: tuple, build):
-        """The value under ``key``, else ``build()``, kept under ``key`` when
-        the build returns (a build that raises stores nothing).  The least
-        recently used entry goes beyond _MEMO_SIZE."""
-        if key in self.entries:
-            self.entries.move_to_end(key)
-            return self.entries[key]
-        value = self.entries[key] = build()
-        if len(self.entries) > _MEMO_SIZE:
-            self.entries.popitem(last=False)
-        return value
 
 
 def _operators(K: SimplicialComplex) -> _Operators:
@@ -321,11 +301,19 @@ def _operators(K: SimplicialComplex) -> _Operators:
 
 
 def memoized(K: SimplicialComplex, w: MetricWeights, tag: str, degrees: tuple[int, ...], build):
-    """``build()`` through the memo of K, keyed by ``tag``, ``degrees`` and
-    ``w.keys`` of those degrees, in that order.  ``degrees`` must name every
+    """The entry of K's memo under ``tag``, ``degrees`` and ``w.keys`` of
+    those degrees, else ``build()``, kept only when it returns; the least
+    recently used entry goes beyond _MEMO_SIZE.  ``degrees`` must name every
     weight vector the value reads."""
+    entries = _operators(K).entries
     key = (tag, degrees) + tuple(w.keys[j] for j in degrees)
-    return _operators(K).memo(key, build)
+    if key in entries:
+        entries.move_to_end(key)
+        return entries[key]
+    value = entries[key] = build()
+    if len(entries) > _MEMO_SIZE:
+        entries.popitem(last=False)
+    return value
 
 
 def laplacian(K: SimplicialComplex, w: MetricWeights, k: int) -> sp.csr_matrix:
@@ -381,7 +369,7 @@ def _normal_factor(
     by SuperLU with diagonal pivots in the stored fill-reducing order of D.
     Raises NumericalError when either factor finds N_k numerically singular.
     Only the solver for the latest w_k of each degree is kept."""
-    if k == 0 or not ops.exact_span[k].shape[1]:
+    if not ops.exact_span[k].shape[1]:
         return None
     key = w.keys[k]
     held = ops.factors.get(k)
@@ -449,10 +437,9 @@ def _rcond(gram: np.ndarray) -> float:
     return float(eigs[0] / eigs[-1]) if not info and eigs[-1] > 0 else 0.0
 
 
-def _build_split(ops: _Operators, w: MetricWeights, k: int) -> _Split:
+def _build_split(ops: _Operators, w: MetricWeights, k: int) -> tuple[np.ndarray, float]:
+    """(vectors, gram_rcond) of the nonempty degree-k harmonic basis for w_k."""
     X, wk = ops.cocycles[k], w.degree(k)
-    if not X.shape[1]:
-        return _Split(np.zeros((len(wk), 0)), 1.0)
     X = X - _exact_part(ops, w, k, X)
     # one Gram matrix for the condition and the first orthonormalization;
     # far-apart weights can carry it past the float range
@@ -470,7 +457,7 @@ def _build_split(ops: _Operators, w: MetricWeights, k: int) -> _Split:
         ) from None
     H = np.asfortranarray(H)
     H.flags.writeable = False
-    return _Split(H, rcond)
+    return H, rcond
 
 
 def _certified_residual(ops: _Operators, w: MetricWeights, k: int, H: np.ndarray) -> float:
@@ -515,26 +502,24 @@ def harmonic_basis(
         raise ValueError(f"degree {k} out of range 0..{K.dimension}")
     _check_weights(K, w)
     ops = _operators(K)
-    # a degree without harmonic cochains keeps nothing in the memo: its
-    # empty basis costs nothing to build and has residual 0
-    empty = not ops.cocycles[k].shape[1]
-    if empty:
-        split = _build_split(ops, w, k)
+    if ops.cocycles[k].shape[1]:
+        vectors, rcond = memoized(K, w, "split", (k,), lambda: _build_split(ops, w, k))
     else:
-        split = memoized(K, w, "split", (k,), lambda: _build_split(ops, w, k))
-    if split.gram_rcond <= tol:
+        # a degree without harmonic cochains keeps nothing in the memo: its
+        # empty basis costs nothing to build and has residual 0
+        vectors, rcond = np.zeros((K.simplex_count(k), 0)), 1.0
+    if rcond <= tol:
         raise NumericalError(
-            f"degree-{k} Gram matrix has reciprocal condition "
-            f"{split.gram_rcond:.3e} <= tolerance {tol:.3e}"
+            f"degree-{k} Gram matrix has reciprocal condition {rcond:.3e} <= tolerance {tol:.3e}"
         )
-    if empty:
-        return HarmonicBasis(k, split.vectors, 0.0, split.gram_rcond)
+    if not vectors.shape[1]:
+        return HarmonicBasis(k, vectors, 0.0, rcond)
     # the residual reads the weights of k and its neighbours, the split w_k
     near = tuple(range(max(k - 1, 0), min(k + 1, K.dimension) + 1))
     residual = memoized(
-        K, w, "residual", near, lambda: _certified_residual(ops, w, k, split.vectors)
+        K, w, "residual", near, lambda: _certified_residual(ops, w, k, vectors)
     )
-    return HarmonicBasis(k, split.vectors, residual, split.gram_rcond)
+    return HarmonicBasis(k, vectors, residual, rcond)
 
 
 def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:

@@ -56,6 +56,16 @@ def test_generate_nested_expressions(tmp_path):
     assert len(json.loads(out.read_text())["facets"]) == 18
 
 
+def test_generate_and_analyze_connected_sum_above_dimension_four(tmp_path):
+    s1s4, summed = tmp_path / "s1s4.json", tmp_path / "sum.json"
+    assert run(["generate", "product:sphere:1,sphere:4", "-o", s1s4]) == 0
+    assert run(["generate", f"connsum:{s1s4},{s1s4}", "-o", summed]) == 0
+    report_path = tmp_path / "report.json"
+    assert run(["analyze", summed, "--all", "-o", report_path]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["obstructions"]["verdict"] == "passes-elementary-tests"
+
+
 def test_parse_zoo_identifier_file_path(tmp_path):
     out = tmp_path / "c.json"
     run(["generate", "sphere:2", "-o", out])

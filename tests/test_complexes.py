@@ -21,6 +21,7 @@ from hodgeform.complexes import (
     torus,
 )
 from hodgeform.homology import betti_numbers, boundary_matrix, euler_characteristic
+from hodgeform.obstructions import check_obstructions, summarize
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def test_orient_agrees_with_brute_force_on_small_closed_complexes(spheres, tori)
 def test_orientation_cancels_boundary(spheres, tori, surfaces):
     # the signed sum of facet boundaries must vanish identically
     for K in (spheres[2], spheres[3], tori[2], surfaces[2]):
-        signs = np.asarray(orient(K).facet_signs, dtype=np.int64)
+        signs = np.asarray(orient(K), dtype=np.int64)
         total = boundary_matrix(K, K.dimension) @ signs
         assert not total.any()
 
@@ -312,6 +313,19 @@ def test_connected_sum_glues_once_and_orients(small_zoo, monkeypatch):
         K = connected_sum(a, b)
         assert len(builds) == 1, (a.name, b.name)
         assert orient(K) is not None, (a.name, b.name)
+
+
+def test_connected_sum_above_dimension_four(spheres):
+    # (S^1 x S^4) # (S^1 x S^4): the gluing never reads the dimension, and
+    # the elementary rules all pass on it
+    s1s4 = product_complex(spheres[1], spheres[4])
+    K = connected_sum(s1s4, s1s4)
+    assert K.f_vector == (30, 201, 520, 705, 534, 178)
+    assert betti_numbers(K) == (1, 2, 0, 0, 2, 1)
+    assert orient(K) is not None
+    report = check_obstructions(summarize(K))
+    assert report.verdict == "passes-elementary-tests"
+    assert not report.fired
 
 
 def test_connected_sum_dimension_mismatch(tori, spheres):

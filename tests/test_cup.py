@@ -20,7 +20,7 @@ def loop_cup(K, k, a, l, b):
 
 def on_fundamental_class(K, c):
     """<c, [K]>: the signed sum of a top cochain over the oriented facets."""
-    return sum(s * v for s, v in zip(orient(K).facet_signs, c))
+    return sum(s * v for s, v in zip(orient(K), c))
 
 
 def coboundary_of(K, k, X):

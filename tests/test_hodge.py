@@ -174,7 +174,7 @@ def test_normal_matrix_pattern_matches_the_dense_product(small_zoo):
     for name, K in small_zoo.items():
         w = random_weights(K, 2)
         ops = hodge._operators(K)
-        for k in range(1, K.dimension + 1):
+        for k in range(K.dimension + 1):
             D = ops.exact_span[k]
             got = ops.normal[k].at(w.degree(k)).toarray()
             dense = D.toarray()
@@ -463,9 +463,13 @@ def test_basis_harmonicity_residual(surfaces):
         assert w_norm(w, 1, L @ x) <= 1e-8 * w_norm(w, 1, x)
 
 
-def test_absurd_tolerance_fails_loudly(tori):
+def test_absurd_tolerance_fails_loudly(tori, spheres):
     with pytest.raises(NumericalError):
         harmonic_basis(tori[2], unit_weights(tori[2]), 1, tol=10.0)
+    # a degree without harmonic cochains is certified against tol too
+    for tol in (1.0, 10.0):
+        with pytest.raises(NumericalError):
+            harmonic_basis(spheres[2], unit_weights(spheres[2]), 1, tol=tol)
 
 
 def test_tolerance_must_be_positive(tori):
