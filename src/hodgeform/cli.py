@@ -190,7 +190,7 @@ def _analyze_report(
     def hodge():
         bases = [harmonic_basis(K, w, k, tol) for k in range(n + 1)]
         degrees = []
-        for k, (basis, gap) in enumerate(zip(bases, spectral_gaps(K, w))):
+        for k, (basis, gap) in enumerate(zip(bases, spectral_gaps(K, w, tol))):
             if gap is not None and gap <= tol:
                 raise NumericalError(
                     f"spectral gap of Delta_{k} is {gap:.3e} <= tolerance {tol:.3e}: "

@@ -26,13 +26,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complexes import SimplicialComplex
 from .cup import cup
 from .hodge import DEFAULT_TOL, MetricWeights, harmonic_basis, memoized, unit_weights
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "PairRecord",
@@ -123,6 +126,8 @@ def _pair_block(K, w, k, l, rows):
 
 
 def _vertex_incidence(K: SimplicialComplex, k: int) -> sp.csc_matrix:
+    import scipy.sparse as sp
+
     # column j marks the vertices of the j-th k-simplex
     vertices = np.array(K.simplices(k), dtype=np.int64).reshape(-1, k + 1)
     indptr = np.arange(0, vertices.size + 1, k + 1)

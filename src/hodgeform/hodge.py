@@ -41,8 +41,10 @@ Everything else goes through one bounded LRU memo per complex,
 :func:`memoized`, keyed by a tag, the degrees the value reads and those
 degrees' keys.  The split of degree k is keyed by w_k; its certified
 residual by (w_{k-1}, w_k, w_{k+1}), because ||Delta_k h||_w reads all
-three; :mod:`hodgeform.formality` keys its norm records by w_k and its
-pair blocks by (w_k, w_l, w_{k+l}).  A degree without harmonic cochains
+three, and the split keeps the products of that certificate which read
+w_k alone, so a residual after a move of w_{k-1} or w_{k+1} costs two
+sparse products.  :mod:`hodgeform.formality` keys its norm records by w_k
+and its pair blocks by (w_k, w_l, w_{k+l}).  A degree without harmonic cochains
 gets no entry: its empty basis has residual 0 and is built anew on each
 call, at no cost.  A value enters the memo only when its build returned,
 so only results that passed their certificates are kept, and each is
@@ -63,6 +65,10 @@ scale of S_k; the analysis pipeline raises when that gap is at most ``tol``.
 The residual certificate takes no tolerance.  Every basis the module
 projects with, :func:`spectral_gaps` included, comes from
 :func:`harmonic_basis`, so it has passed both certificates.
+
+scipy is imported by the functions that call it, not with the module, so
+code that builds weights and never solves (``random_weights``) loads
+numpy only.
 """
 
 from __future__ import annotations
@@ -70,15 +76,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd, dtrtri
 
 from .complexes import SimplicialComplex
 from .errors import NumericalError
 from .homology import cohomology_reduction
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "MetricWeights",
@@ -211,6 +218,8 @@ class _NormalMatrix:
     """
 
     def __init__(self, D: sp.csc_matrix):
+        import scipy.sparse as sp
+
         coded = sp.csc_matrix((D.data * (D.indices + 1), D.indices, D.indptr), D.shape)
         pattern = (D.T @ coded).tocsc()
         self.size = D.shape[1]
@@ -236,6 +245,8 @@ class _NormalMatrix:
         return data
 
     def at(self, wk: np.ndarray) -> sp.csc_matrix:
+        import scipy.sparse as sp
+
         return sp.csc_matrix(
             (self._values(wk), self.indices, self.indptr), shape=(self.size, self.size)
         )
@@ -254,6 +265,8 @@ def _elimination_order(D: sp.csc_matrix) -> np.ndarray:
     1989).  An incomplete factor that drops every off-diagonal entry
     computes that order without paying for the fill; ``perm_c[i]`` is the
     position of column i."""
+    import scipy.sparse.linalg as spla
+
     if D.shape[1] < 2:
         return np.arange(D.shape[1])
     perm_c = spla.spilu(
@@ -273,6 +286,8 @@ class _Operators:
     :func:`memoized` and the latest factor of N_k per degree."""
 
     def __init__(self, K: SimplicialComplex):
+        import scipy.sparse as sp
+
         red = cohomology_reduction(K)
         n = K.dimension
         self.d = tuple(d.tocsr().astype(np.float64) for d in red.coboundaries)
@@ -319,6 +334,8 @@ def memoized(K: SimplicialComplex, w: MetricWeights, tag: str, degrees: tuple[in
 def laplacian(K: SimplicialComplex, w: MetricWeights, k: int) -> sp.csr_matrix:
     """Delta_k as a sparse matrix; self-adjoint under the weighted inner
     product and positive semidefinite (not symmetric as a plain matrix)."""
+    import scipy.sparse as sp
+
     if not 0 <= k <= K.dimension:
         raise ValueError(f"degree {k} out of range 0..{K.dimension}")
     _check_weights(K, w)
@@ -379,6 +396,8 @@ def _normal_factor(
     normal, wk = ops.normal[k], w.degree(k)
     singular = f"degree-{k} normal matrix is numerically singular"
     if normal.dense_positions is not None:
+        from scipy.linalg.lapack import dpotrf, dpotrs
+
         L, info = dpotrf(normal.dense_at(wk), lower=1, clean=0, overwrite_a=1)
         if info:
             raise NumericalError(singular)
@@ -387,6 +406,8 @@ def _normal_factor(
             return dpotrs(L, b, lower=1)[0]
 
     else:
+        import scipy.sparse.linalg as spla
+
         N = normal.at(wk)
         try:
             solve = spla.splu(
@@ -413,6 +434,8 @@ def _inverse_cholesky(gram: np.ndarray) -> np.ndarray:
     """L^{-1} for the lower Cholesky factor L of ``gram``, by LAPACK dpotrf
     and dtrtri.  Raises LinAlgError when ``gram`` is not numerically
     positive definite."""
+    from scipy.linalg.lapack import dpotrf, dtrtri
+
     L, info = dpotrf(gram, lower=1)
     if not info:
         L, info = dtrtri(L, lower=1, overwrite_c=1)
@@ -433,12 +456,17 @@ def _orthonormalize(X: np.ndarray, wk: np.ndarray, gram: np.ndarray) -> np.ndarr
 def _rcond(gram: np.ndarray) -> float:
     """Reciprocal condition of a nonempty, finite, symmetric positive
     semidefinite matrix, from LAPACK dsyevd; 0 when it does not converge."""
+    from scipy.linalg.lapack import dsyevd
+
     eigs, _, info = dsyevd(gram, compute_v=0, lower=1)
     return float(eigs[0] / eigs[-1]) if not info and eigs[-1] > 0 else 0.0
 
 
-def _build_split(ops: _Operators, w: MetricWeights, k: int) -> tuple[np.ndarray, float]:
-    """(vectors, gram_rcond) of the nonempty degree-k harmonic basis for w_k."""
+def _build_split(ops: _Operators, w: MetricWeights, k: int) -> tuple[np.ndarray, float, tuple]:
+    """(vectors, gram_rcond, parts) of the nonempty degree-k harmonic basis H
+    for w_k.  ``parts`` are what the residual certificate reads of w_k
+    alone: d_k H, d_{k-1}^T (W_k H) (None where the operator does not exist)
+    and the w-norms of the columns of H."""
     X, wk = ops.cocycles[k], w.degree(k)
     X = X - _exact_part(ops, w, k, X)
     # one Gram matrix for the condition and the first orthonormalization;
@@ -457,26 +485,34 @@ def _build_split(ops: _Operators, w: MetricWeights, k: int) -> tuple[np.ndarray,
         ) from None
     H = np.asfortranarray(H)
     H.flags.writeable = False
-    return H, rcond
+    wk = wk[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = ops.d[k] @ H if k < len(ops.d) else None
+        down = ops.d_T[k - 1] @ (wk * H) if k > 0 else None
+        size = np.linalg.norm(np.sqrt(wk) * H, axis=0)
+    return H, rcond, (up, down, size)
 
 
-def _certified_residual(ops: _Operators, w: MetricWeights, k: int, H: np.ndarray) -> float:
-    """max_i ||Delta_k h_i||_w / ||h_i||_w without forming Delta_k.  Raises
-    NumericalError above RESIDUAL_LIMIT: the certificate takes no tolerance.
+def _certified_residual(
+    ops: _Operators, w: MetricWeights, k: int, H: np.ndarray, parts: tuple
+) -> float:
+    """max_i ||Delta_k h_i||_w / ||h_i||_w without forming Delta_k, from the
+    ``parts`` of :func:`_build_split`, so only the products that read
+    w_{k+1} and w_{k-1} run here.  Raises NumericalError above
+    RESIDUAL_LIMIT: the certificate takes no tolerance.
 
     Each w-norm is the plain norm of sqrt(w) x, which stays finite where x
     alone squares past the float range; a defect that still leaves it reads
     inf or nan and fails the certificate."""
+    up, down, size = parts
     wk = w.degree(k)[:, None]
-    sqrt_wk = np.sqrt(wk)
     out = np.zeros_like(H)
     with np.errstate(over="ignore", invalid="ignore"):
-        if k < len(ops.d):
-            out += (ops.d_T[k] @ (w.degree(k + 1)[:, None] * (ops.d[k] @ H))) / wk
-        if k > 0:
-            out += ops.d[k - 1] @ ((ops.d_T[k - 1] @ (wk * H)) / w.degree(k - 1)[:, None])
-        defect = np.linalg.norm(sqrt_wk * out, axis=0)
-        size = np.linalg.norm(sqrt_wk * H, axis=0)
+        if up is not None:
+            out += (ops.d_T[k] @ (w.degree(k + 1)[:, None] * up)) / wk
+        if down is not None:
+            out += ops.d[k - 1] @ (down / w.degree(k - 1)[:, None])
+        defect = np.linalg.norm(np.sqrt(wk) * out, axis=0)
         residual = float(np.max(defect / size))
     if not residual <= RESIDUAL_LIMIT:
         raise NumericalError(
@@ -503,11 +539,11 @@ def harmonic_basis(
     _check_weights(K, w)
     ops = _operators(K)
     if ops.cocycles[k].shape[1]:
-        vectors, rcond = memoized(K, w, "split", (k,), lambda: _build_split(ops, w, k))
+        vectors, rcond, parts = memoized(K, w, "split", (k,), lambda: _build_split(ops, w, k))
     else:
         # a degree without harmonic cochains keeps nothing in the memo: its
         # empty basis costs nothing to build and has residual 0
-        vectors, rcond = np.zeros((K.simplex_count(k), 0)), 1.0
+        vectors, rcond, parts = np.zeros((K.simplex_count(k), 0)), 1.0, None
     if rcond <= tol:
         raise NumericalError(
             f"degree-{k} Gram matrix has reciprocal condition {rcond:.3e} <= tolerance {tol:.3e}"
@@ -517,12 +553,12 @@ def harmonic_basis(
     # the residual reads the weights of k and its neighbours, the split w_k
     near = tuple(range(max(k - 1, 0), min(k + 1, K.dimension) + 1))
     residual = memoized(
-        K, w, "residual", near, lambda: _certified_residual(ops, w, k, vectors)
+        K, w, "residual", near, lambda: _certified_residual(ops, w, k, vectors, parts)
     )
     return HarmonicBasis(k, vectors, residual, rcond)
 
 
-def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
+def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int, tol: float) -> float:
     """Smallest nonzero eigenvalue mu_j of the pencil
     (d_{j-1}^T W_j d_{j-1}, W_{j-1}), for 1 <= j <= dim K.  Every j-simplex
     has a nonzero boundary, so d_{j-1} has rank r >= 1.
@@ -532,10 +568,13 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
     of the cochain with values c on J.  In those coordinates the pencil
     becomes (N_j, M) with M c = E^T W_{j-1} (Ec - P Ec), where P projects
     onto ker d_{j-1} = im d_{j-2} + harmonic, i.e. via the factor of N_{j-1}
-    and the basis H_{j-1}, which comes from :func:`harmonic_basis`.  ARPACK
-    finds the largest eigenvalue 1/mu_j of N_j^{-1} M with the factor of
-    N_j; no Laplacian is factorized.
+    and the basis H_{j-1}, which comes from :func:`harmonic_basis` at
+    ``tol``.  ARPACK finds the largest eigenvalue 1/mu_j of N_j^{-1} M with
+    the factor of N_j; no Laplacian is factorized.  Raises NumericalError
+    when ARPACK fails.
     """
+    import scipy.sparse.linalg as spla
+
     ops = _operators(K)
     J = ops.independent[j - 1]
     r = len(J)
@@ -544,7 +583,7 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
     D, D_T = ops.exact_span[j], ops.exact_span_T[j]
     wj = w.degree(j)
     solve_normal = _normal_factor(ops, w, j)
-    H = harmonic_basis(K, w, j - 1).vectors
+    H = harmonic_basis(K, w, j - 1, tol).vectors
 
     def coexact_mass(c):
         x = np.zeros(len(W))
@@ -558,22 +597,27 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int) -> float:
     if r == 1:
         one = np.ones(1)
         return float(normal(one)[0] / coexact_mass(one)[0])
-    theta = spla.eigsh(
-        spla.LinearOperator((r, r), matvec=coexact_mass, dtype=np.float64),
-        k=1,
-        M=spla.LinearOperator((r, r), matvec=normal, dtype=np.float64),
-        Minv=spla.LinearOperator((r, r), matvec=solve_normal, dtype=np.float64),
-        which="LA",
-        # the Ritz value's relative error is about the square of this
-        # residual tolerance, far below what the gap is compared against
-        tol=1e-10,
-        v0=np.random.default_rng(0x5EED).standard_normal(r),
-        return_eigenvectors=False,
-    )
+    try:
+        theta = spla.eigsh(
+            spla.LinearOperator((r, r), matvec=coexact_mass, dtype=np.float64),
+            k=1,
+            M=spla.LinearOperator((r, r), matvec=normal, dtype=np.float64),
+            Minv=spla.LinearOperator((r, r), matvec=solve_normal, dtype=np.float64),
+            which="LA",
+            # the Ritz value's relative error is about the square of this
+            # residual tolerance, far below what the gap is compared against
+            tol=1e-10,
+            v0=np.random.default_rng(0x5EED).standard_normal(r),
+            return_eigenvectors=False,
+        )
+    except spla.ArpackError as exc:  # ArpackNoConvergence included
+        raise NumericalError(f"degree-{j} pencil eigensolve failed: {exc}") from None
     return float(1.0 / theta[0])
 
 
-def spectral_gaps(K: SimplicialComplex, w: MetricWeights) -> tuple[float | None, ...]:
+def spectral_gaps(
+    K: SimplicialComplex, w: MetricWeights, tol: float = DEFAULT_TOL
+) -> tuple[float | None, ...]:
     """Per degree k, lambda_{b_k+1}(S_k) over the Gershgorin scale of S_k.
 
     S_k = W^{1/2} Delta_k W^{-1/2}.  The nonzero spectrum of Delta_k is that
@@ -581,11 +625,12 @@ def spectral_gaps(K: SimplicialComplex, w: MetricWeights) -> tuple[float | None,
     the first nonzero eigenvalue is min(mu_k, mu_{k+1}); each mu_j comes from
     the pencil solve of :func:`_smallest_nonzero`.  None where Delta_k has no
     nonzero eigenvalue.  Reuses the factors and bases of
-    :func:`harmonic_basis` for the same weights.
+    :func:`harmonic_basis` for the same weights, and certifies those bases
+    at ``tol``.
     """
     _check_weights(K, w)
     n = K.dimension
-    mu = [None] + [_smallest_nonzero(K, w, j) for j in range(1, n + 1)] + [None]
+    mu = [None] + [_smallest_nonzero(K, w, j, tol) for j in range(1, n + 1)] + [None]
     gaps = []
     for k in range(n + 1):
         nonzero = [m for m in (mu[k], mu[k + 1]) if m is not None]

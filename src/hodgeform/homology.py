@@ -14,14 +14,17 @@ cannot be victims of round-off.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complexes import SimplicialComplex, is_closed_pseudomanifold, orient
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "boundary_matrix",
@@ -40,6 +43,8 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> sp.csc_matrix:
     Column j lists the faces of the j-th k-simplex with alternating signs
     (-1)^i for the face omitting the i-th vertex.
     """
+    import scipy.sparse as sp
+
     if not 1 <= k <= K.dimension:
         raise ValueError(f"degree {k} out of range 1..{K.dimension}")
     m = K.simplex_count(k)
@@ -118,18 +123,22 @@ def _reduce_columns(columns: Iterable[dict[int, int] | None]):
     return {low: j for low, (_, _, j) in pivots.items()}, kernel
 
 
-def _columns_as_dicts(mat: sp.csc_matrix) -> list[dict[int, int]]:
-    out = []
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    for j in range(mat.shape[1]):
-        lo, hi = indptr[j], indptr[j + 1]
-        out.append({int(indices[t]): int(data[t]) for t in range(lo, hi)})
-    return out
+def _columns_as_dicts(
+    mat: sp.csc_matrix, skip: Container[int] = ()
+) -> list[dict[int, int] | None]:
+    """Column j of ``mat`` as {row: value}, or None for j in ``skip``."""
+    indptr, indices, data = mat.indptr.tolist(), mat.indices.tolist(), mat.data.tolist()
+    return [
+        None if j in skip else dict(zip(indices[lo:hi], data[lo:hi]))
+        for j, (lo, hi) in enumerate(zip(indptr, indptr[1:]))
+    ]
 
 
 def exact_rank(mat: sp.csc_matrix) -> int:
     """Rank over Q of an integer sparse matrix."""
-    pivots, _ = _reduce_columns(_columns_as_dicts(sp.csc_matrix(mat)))
+    import scipy.sparse as sp
+
+    pivots, _ = _reduce_columns(_columns_as_dicts(sp.csc_matrix(mat, dtype=np.int64)))
     return len(pivots)
 
 
@@ -167,11 +176,9 @@ def _reduce_complex(K: SimplicialComplex) -> CohomologyReduction:
     for k in range(n + 1):
         m = K.simplex_count(k)
         if k < n:
-            cols = _columns_as_dicts(coboundaries[k])
+            cols = _columns_as_dicts(coboundaries[k], cleared)
         else:
-            cols = [{} for _ in range(m)]
-        for j in cleared:
-            cols[j] = None
+            cols = [None if j in cleared else {} for j in range(m)]
         pivots, kernel = _reduce_columns(cols)
         ranks[k + 1] = len(pivots)
         X = np.zeros((m, len(kernel)), dtype=np.int64)

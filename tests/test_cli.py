@@ -687,3 +687,37 @@ def test_analyze_exits_2_when_duality_fails(tmp_path, suspended_torus3):
     assert report["errors"] == {
         "obstructions": "intersection form requires the duality check to pass"
     }
+
+
+def test_analyze_arpack_failure_exits_3(tmp_path, monkeypatch):
+    import scipy.sparse.linalg
+
+    def failing(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0))
+        )
+
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    report_path = tmp_path / "report.json"
+    assert run(["analyze", complex_path, "--all", "-o", report_path]) == 3
+    error = json.loads(report_path.read_text())["errors"]["hodge"]
+    assert error.startswith("degree-1 pencil eigensolve failed"), error
+
+
+def test_analyze_tolerance_reaches_the_spectral_gap_bases(tmp_path, monkeypatch):
+    # every Gram matrix reads 1e-10, which certifies at 1e-12 and not at
+    # the default 1e-9, also for the bases the spectral gaps project with
+    from hodgeform import hodge
+
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    monkeypatch.setattr(hodge, "_rcond", lambda gram: 1e-10)
+    report_path = tmp_path / "report.json"
+    args = ["analyze", complex_path, "--hodge", "-o", report_path]
+    assert run([*args, "--tolerance", "1e-12"]) == 0
+    assert "errors" not in json.loads(report_path.read_text())
+    assert run([*args, "--tolerance", "1e-9"]) == 3
+    error = json.loads(report_path.read_text())["errors"]["hodge"]
+    assert "reciprocal condition 1.000e-10 <= tolerance 1.000e-09" in error, error

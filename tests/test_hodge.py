@@ -607,3 +607,70 @@ def test_spectral_gaps_project_only_with_certified_bases(monkeypatch):
     K = torus(2)
     with pytest.raises(NumericalError, match="Gram matrix"):
         spectral_gaps(K, unit_weights(K))
+
+
+@pytest.mark.parametrize(
+    "failure",
+    (
+        lambda: scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0))
+        ),
+        lambda: scipy.sparse.linalg.ArpackError(-9999),
+    ),
+    ids=("no-convergence", "error"),
+)
+def test_arpack_failure_is_a_numerical_error(monkeypatch, failure):
+    # the pencil of degree 1 on torus:2 has rank 8, so it goes to ARPACK,
+    # whose failures are RuntimeErrors that the CLI would not map
+    def failing(*args, **kwargs):
+        raise failure()
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+    K = torus(2)
+    with pytest.raises(NumericalError, match="degree-1 pencil eigensolve failed"):
+        spectral_gaps(K, unit_weights(K))
+
+
+def test_spectral_gaps_certify_their_bases_at_the_given_tolerance(monkeypatch):
+    # every Gram matrix reads 1e-10: a basis passes at 1e-12, not at 1e-9
+    monkeypatch.setattr(hodge, "_rcond", lambda gram: 1e-10)
+    K = torus(2)
+    w = unit_weights(K)
+    assert all(gap is not None for gap in spectral_gaps(K, w, 1e-12))
+    with pytest.raises(NumericalError, match="reciprocal condition 1.000e-10"):
+        spectral_gaps(K, w)
+
+
+def four_product_residual(K, w, k, H) -> float:
+    """max_i ||Delta_k h_i||_w / ||h_i||_w with all four sparse products of
+    the residual certificate, in its order of operations."""
+    ops = hodge._operators(K)
+    wk = w.degree(k)[:, None]
+    sqrt_wk = np.sqrt(wk)
+    out = np.zeros_like(H)
+    if k < K.dimension:
+        out += (ops.d_T[k] @ (w.degree(k + 1)[:, None] * (ops.d[k] @ H))) / wk
+    if k > 0:
+        out += ops.d[k - 1] @ ((ops.d_T[k - 1] @ (wk * H)) / w.degree(k - 1)[:, None])
+    defect = np.linalg.norm(sqrt_wk * out, axis=0)
+    return float(np.max(defect / np.linalg.norm(sqrt_wk * H, axis=0)))
+
+
+def test_residual_after_a_neighbour_move_is_the_four_product_residual(tori, s2xs2):
+    # the split keeps the w_k-only products of the certificate; a residual
+    # recomputed for moved w_{k-1} or w_{k+1} from them is bitwise the
+    # residual of all four products
+    for K in (tori[3], s2xs2):
+        base = random_weights(K, 12)
+        n = K.dimension
+        for k in range(n + 1):
+            if not betti_numbers(K)[k]:
+                continue
+            harmonic_basis(K, base, k)
+            for j in range(max(k - 1, 0), min(k + 1, n) + 1):
+                scaled = base.degree(j).copy()
+                scaled[3] *= 1.7
+                moved = base.replace(j, scaled)
+                basis = harmonic_basis(K, moved, k)
+                want = four_product_residual(K, moved, k, basis.vectors)
+                assert basis.residual == want, (K.name, k, j)

@@ -222,3 +222,24 @@ def test_cocycle_representatives_are_integral_classes(small_zoo):
                 assert exact_rank(stacked) == exact_rank(d_prev) + betti[k], (name, k)
             else:
                 assert exact_rank(sp.csc_matrix(X)) == betti[0], name
+
+
+def test_columns_as_dicts_match_an_entry_loop(small_zoo):
+    # the exact reduction reads each column of d_k as {row: int}, and a
+    # skipped (cleared) column as None
+    from hodgeform.homology import _columns_as_dicts
+
+    for name, K in small_zoo.items():
+        for k in range(1, K.dimension + 1):
+            mat = boundary_matrix(K, k).T.tocsc()
+            skip = set(range(0, mat.shape[1], 3))
+            want = []
+            for j in range(mat.shape[1]):
+                lo, hi = mat.indptr[j], mat.indptr[j + 1]
+                col = {int(mat.indices[t]): int(mat.data[t]) for t in range(lo, hi)}
+                want.append(None if j in skip else col)
+            got = _columns_as_dicts(mat, skip)
+            assert got == want, (name, k)
+            assert all(
+                type(r) is int and type(v) is int for col in got if col for r, v in col.items()
+            ), (name, k)
