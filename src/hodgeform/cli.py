@@ -7,9 +7,10 @@ search, persisting the best weights plus a CSV residual trace).
 ``analyze`` times each requested stage in pipeline order, and its
 ``obstructions`` section is the verdict payload ``check`` prints.
 
-All file outputs are canonical JSON (sorted keys, stable float repr): reports
-of one build are byte-stable apart from the timings; across builds, compare
-``spectral_gap``, ``residual`` and ``variation`` with a tolerance (README).
+All file outputs are canonical JSON (sorted keys, stable float repr), and
+every ``-o`` takes ``-`` for stdout.  Reports of one build are byte-stable
+apart from the timings; across builds, compare ``spectral_gap``,
+``residual`` and ``variation`` with a tolerance (README).
 
 Exit codes: 0 success; 1 the analysis ran fine and found an obstructed
 verdict; 2 usage or input-schema error, including an ``analyze`` stage that
@@ -34,13 +35,13 @@ import numpy as np
 from . import __version__
 from .complexes import (
     SimplicialComplex,
+    complex_to_dict,
     connected_sum,
     is_closed_pseudomanifold,
     load_complex,
     orient,
     product_complex,
     read_json,
-    save_complex,
     sphere,
     surface,
     torus,
@@ -153,8 +154,7 @@ def _weights_payload(w) -> dict:
 
 
 def cmd_generate(args) -> int:
-    K = parse_zoo_identifier(args.identifier)
-    save_complex(K, args.output)
+    _dump_json(complex_to_dict(parse_zoo_identifier(args.identifier)), args.output)
     return EXIT_OK
 
 
@@ -268,6 +268,13 @@ def cmd_search(args) -> int:
         raise ValueError(
             f"--max-iterations must be a non-negative integer, got {args.max_iterations}"
         )
+    trace_path = args.trace
+    if trace_path is None:
+        if args.output == "-":
+            raise ValueError("-o - writes the weights to stdout; name a --trace path")
+        trace_path = str(Path(args.output).with_suffix(".trace.csv"))
+    elif Path(trace_path).resolve() == Path(args.output).resolve():
+        raise ValueError(f"--trace must differ from -o, both name {args.output!r}")
     free_degrees = None
     if args.degrees is not None:
         try:
@@ -293,9 +300,6 @@ def cmd_search(args) -> int:
     )
     best, trace = search_formal_weights(K, cfg, initial)
     _dump_json(_weights_payload(best), args.output)
-    trace_path = args.trace
-    if trace_path is None:
-        trace_path = str(Path(args.output).with_suffix(".trace.csv"))
     lines = ["iteration,aggregate"]
     lines += [f"{i},{value!r}" for i, value in enumerate(trace)]
     Path(trace_path).write_text("\n".join(lines) + "\n")
@@ -313,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a zoo complex to a JSON file")
     g.add_argument("identifier", help="sphere:n | torus:n | surface:g | product:A,B | connsum:A,B | path")
-    g.add_argument("-o", "--output", required=True)
+    g.add_argument("-o", "--output", required=True, help="complex JSON path (- for stdout)")
     g.set_defaults(fn=cmd_generate)
 
     a = sub.add_parser("analyze", help="run the analysis pipeline on a complex file")
@@ -323,12 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     for stage in _STAGES:
         a.add_argument(f"--{stage}", action="store_true")
     a.add_argument("--all", action="store_true", help="run every stage (default)")
-    a.add_argument("-o", "--output", help="report path (default: stdout)")
+    a.add_argument("-o", "--output", help="report path (default or -: stdout)")
     a.set_defaults(fn=cmd_analyze)
 
     c = sub.add_parser("check", help="run obstruction rules on a summary file")
     c.add_argument("summary")
-    c.add_argument("-o", "--output", help="report path (default: stdout)")
+    c.add_argument("-o", "--output", help="report path (default or -: stdout)")
     c.set_defaults(fn=cmd_check)
 
     s = sub.add_parser("search", help="search weights minimizing the residual")
@@ -338,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--max-iterations", type=int, default=SearchConfig.max_iterations)
     s.add_argument("--degrees", help="comma-separated free degrees (default: 1..n)")
-    s.add_argument("-o", "--output", required=True, help="best-weights JSON path")
+    s.add_argument("-o", "--output", required=True, help="best-weights JSON path (- for stdout)")
     s.add_argument("--trace", help="CSV trace path (default: <output>.trace.csv)")
     s.set_defaults(fn=cmd_search)
     return parser

@@ -30,14 +30,13 @@ What does not depend on the weights is built once per complex and kept in
 transpose of each (a view sharing its arrays, so no product transposes
 again), the sparsity pattern of N_k with the source simplex and sign of each
 off-diagonal entry (so N_k for new weights is a gather and one bincount, no
-sparse product), and the cocycles X_k.  The fill-reducing elimination order
-of N_k depends on its pattern alone (George & Liu, SIAM Rev. 31, 1989), so
-it too is computed once per complex: D_k and J_{k-1} are stored in that
-order, and every factor of N_k runs in the stored order.  What depends on
-the weights is kept next to it, in two places, keyed by
-``MetricWeights.keys``.  The factor of N_k is kept for the latest w_k of
-each degree only, since it can be far larger than what it produces.
-Everything else goes through one bounded LRU memo per complex,
+sparse product), and the cocycles X_k, all in the exact reduction's column
+order.  A sparse factor of N_k runs in SuperLU's minimum-degree order
+(George & Liu, SIAM Rev. 31, 1989), which SuperLU computes per factor from
+the pattern of N_k.  What depends on the weights is kept next to it, in
+two places, keyed by ``MetricWeights.keys``.  The factor of N_k is kept for
+the latest w_k of each degree only, since it can be far larger than what it
+produces.  Everything else goes through one bounded LRU memo per complex,
 :func:`memoized`, keyed by a tag, the degrees the value reads and those
 degrees' keys.  The split of degree k is keyed by w_k; its certified
 residual by (w_{k-1}, w_k, w_{k+1}), because ||Delta_k h||_w reads all
@@ -259,48 +258,22 @@ class _NormalMatrix:
         return out.reshape((self.size, self.size), order="F")
 
 
-def _elimination_order(D: sp.csc_matrix) -> np.ndarray:
-    """The columns of D in SuperLU's minimum-degree order for N = D^T W D,
-    which reads the sparsity pattern of N alone (George & Liu, SIAM Rev. 31,
-    1989).  An incomplete factor that drops every off-diagonal entry
-    computes that order without paying for the fill; ``perm_c[i]`` is the
-    position of column i."""
-    import scipy.sparse.linalg as spla
-
-    if D.shape[1] < 2:
-        return np.arange(D.shape[1])
-    perm_c = spla.spilu(
-        (D.T @ D).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        drop_tol=np.inf,
-        fill_factor=1,
-        options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
-    ).perm_c
-    return np.argsort(perm_c)
-
-
 class _Operators:
     """What one complex needs for every weight: float coboundaries, the
-    exact-span columns D in elimination order, both with their transposes,
-    the pattern of N_k and the cocycles per degree, plus the memo entries of
-    :func:`memoized` and the latest factor of N_k per degree."""
+    exact-span columns D, both with their transposes, the pattern of N_k and
+    the cocycles per degree, plus the memo entries of :func:`memoized` and
+    the latest factor of N_k per degree."""
 
     def __init__(self, K: SimplicialComplex):
         import scipy.sparse as sp
 
         red = cohomology_reduction(K)
-        n = K.dimension
         self.d = tuple(d.tocsr().astype(np.float64) for d in red.coboundaries)
         # exact_span[k] = d_{k-1} restricted to its independent columns
-        # J_{k-1} = independent[k - 1] (no columns at k = 0), both stored in
-        # the elimination order of N_k, so every factor of N_k runs in it
-        independent, spans = list(red.independent), [sp.csc_matrix((K.simplex_count(0), 0))]
-        for k in range(1, n + 1):
-            D = self.d[k - 1][:, independent[k - 1]].tocsc()
-            order = _elimination_order(D)
-            independent[k - 1] = independent[k - 1][order]
-            spans.append(D[:, order].tocsc())
-        self.independent, self.exact_span = tuple(independent), tuple(spans)
+        # J_{k-1} = red.independent[k - 1] (no columns at k = 0)
+        self.exact_span = (sp.csc_matrix((K.simplex_count(0), 0)),) + tuple(
+            d[:, J].tocsc() for d, J in zip(self.d, red.independent)
+        )
         # transposes taken once; each shares the arrays of its matrix
         self.d_T = tuple(d.T for d in self.d)
         self.exact_span_T = tuple(D.T for D in self.exact_span)
@@ -383,7 +356,7 @@ def _normal_factor(
 
     N_k is positive definite.  At most _DENSE_ROWS rows, it is made dense
     and factored by LAPACK's Cholesky (dpotrf, solves by dpotrs); larger,
-    by SuperLU with diagonal pivots in the stored fill-reducing order of D.
+    by SuperLU with diagonal pivots in its minimum-degree order of N_k.
     Raises NumericalError when either factor finds N_k numerically singular.
     Only the solver for the latest w_k of each degree is kept."""
     if not ops.exact_span[k].shape[1]:
@@ -412,7 +385,7 @@ def _normal_factor(
         try:
             solve = spla.splu(
                 N,
-                permc_spec="NATURAL",
+                permc_spec="MMD_AT_PLUS_A",
                 options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
             ).solve
         except RuntimeError:  # SuperLU's "Factor is exactly singular"
@@ -455,11 +428,13 @@ def _orthonormalize(X: np.ndarray, wk: np.ndarray, gram: np.ndarray) -> np.ndarr
 
 def _rcond(gram: np.ndarray) -> float:
     """Reciprocal condition of a nonempty, finite, symmetric positive
-    semidefinite matrix, from LAPACK dsyevd; 0 when it does not converge."""
+    semidefinite matrix, from LAPACK dsyevd; 0 when it does not converge.
+    A smallest eigenvalue that round-off leaves below zero counts as 0, so
+    the result is never negative."""
     from scipy.linalg.lapack import dsyevd
 
     eigs, _, info = dsyevd(gram, compute_v=0, lower=1)
-    return float(eigs[0] / eigs[-1]) if not info and eigs[-1] > 0 else 0.0
+    return float(max(eigs[0], 0.0) / eigs[-1]) if not info and eigs[-1] > 0 else 0.0
 
 
 def _build_split(ops: _Operators, w: MetricWeights, k: int) -> tuple[np.ndarray, float, tuple]:
@@ -564,8 +539,9 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int, tol: float
     has a nonzero boundary, so d_{j-1} has rank r >= 1.
 
     Its eigenvectors are the coexact (j-1)-cochains, which the columns J of
-    d_{j-1} parametrize: a coefficient vector c stands for the coexact part
-    of the cochain with values c on J.  In those coordinates the pencil
+    d_{j-1} parametrize (the exact reduction's independent set, the columns
+    of D_j): a coefficient vector c stands for the coexact part of the
+    cochain with values c on J.  In those coordinates the pencil
     becomes (N_j, M) with M c = E^T W_{j-1} (Ec - P Ec), where P projects
     onto ker d_{j-1} = im d_{j-2} + harmonic, i.e. via the factor of N_{j-1}
     and the basis H_{j-1}, which comes from :func:`harmonic_basis` at
@@ -576,7 +552,7 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int, tol: float
     import scipy.sparse.linalg as spla
 
     ops = _operators(K)
-    J = ops.independent[j - 1]
+    J = cohomology_reduction(K).independent[j - 1]
     r = len(J)
     W = w.degree(j - 1)
     WJ = W[J]

@@ -616,6 +616,47 @@ def test_search_writes_trace_next_to_output_by_default(tmp_path):
     assert len(json.loads(out.read_text())["weights"]) == 3
 
 
+def test_generate_dash_writes_the_file_bytes_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["generate", "torus:2", "-o", "t2.json"]) == 0
+    capsys.readouterr()
+    assert run(["generate", "torus:2", "-o", "-"]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "t2.json").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t2.json"]
+
+
+def test_search_dash_writes_the_weights_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run(["generate", "torus:2", "-o", "t2.json"])
+    args = ["search", "t2.json", "--max-iterations", "1"]
+    assert run([*args, "-o", "best.json", "--trace", "best.csv"]) == 0
+    capsys.readouterr()
+    assert run([*args, "-o", "-", "--trace", "dash.csv"]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "best.json").read_bytes()
+    assert (tmp_path / "dash.csv").read_bytes() == (tmp_path / "best.csv").read_bytes()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["best.csv", "best.json", "dash.csv", "t2.json"]
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        # the default trace path of stdout would be a file named -.trace.csv
+        ["-o", "-"],
+        # the trace would overwrite the weights
+        ["-o", "best.json", "--trace", "./best.json"],
+    ],
+)
+def test_search_refuses_a_trace_path_it_cannot_write(tmp_path, monkeypatch, capsys, outputs):
+    # refused before the complex is read: the missing file is never reported
+    monkeypatch.chdir(tmp_path)
+    assert run(["search", "missing.json", *outputs]) == 2
+    captured = capsys.readouterr()
+    assert "--trace" in captured.err and "missing.json" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_rejects_a_non_integer_degree(tmp_path):
     complex_path = tmp_path / "t2.json"
     run(["generate", "torus:2", "-o", complex_path])

@@ -11,6 +11,7 @@ from hodgeform.complexes import (
     SimplicialComplex,
     build_complex,
     connected_sum,
+    load_complex,
     product_complex,
     sphere,
     surface,
@@ -28,7 +29,7 @@ from hodgeform.hodge import (
     unit_weights,
     weights_from_arrays,
 )
-from hodgeform.homology import betti_numbers, boundary_matrix, cohomology_reduction
+from hodgeform.homology import betti_numbers, boundary_matrix
 
 from test_formality import w_norm
 
@@ -234,12 +235,12 @@ def test_dense_factor_cut_is_at_128_rows(monkeypatch):
         assert hodge._operators(K).normal[1].size == n - 1
         harmonic_basis(K, unit_weights(K), 1)
         assert len(calls) == sparse, n
-    assert calls == [(129, "NATURAL")]
+    assert calls == [(129, "MMD_AT_PLUS_A")]
 
 
-def test_factors_use_the_stored_elimination_order(tmp_path, monkeypatch):
-    # the fill-reducing order is computed once per complex, so every sparse
-    # factor of N_k, for any weights, runs in the stored order of D.  On
+def test_each_weight_state_factors_each_large_normal_matrix_once(tmp_path, monkeypatch):
+    # every sparse factor of N_k runs in SuperLU's minimum-degree order, and
+    # one weight state factors each N_k above the dense cut once.  On
     # T^3 # T^3 (Betti 1, 6, 6, 1) N_1 has 49 rows and is factored dense;
     # N_2 and N_3 have 317 and 321
     calls = spy_on_splu(monkeypatch)
@@ -254,30 +255,38 @@ def test_factors_use_the_stored_elimination_order(tmp_path, monkeypatch):
     # N_2 and N_3 for the base, then one factor per move of w_2 or w_3, and
     # for torus:3 N_2 and N_3 (160 and 161 rows) once for the whole analyze pass
     assert len(calls) == 2 + sum(k in (2, 3) for k, _ in moved) + 2
-    assert {spec for _, spec in calls} == {"NATURAL"}
+    assert {spec for _, spec in calls} == {"MMD_AT_PLUS_A"}
     assert min(rows for rows, _ in calls) > hodge._DENSE_ROWS
 
 
-def test_stored_order_fills_no_more_than_minimum_degree(small_zoo, torus3_sum):
-    # the factor in the stored order against SuperLU's own ordering of the
-    # normal matrix built in the reduction's column order, for every N_k
-    # above the dense cut
-    options = dict(SymmetricMode=True, DiagPivotThresh=0.0)
-    checked = []
-    for name, K in {**small_zoo, "torus:3 # torus:3": torus3_sum}.items():
-        w = random_weights(K, 4)
-        ops = hodge._operators(K)
-        independent = cohomology_reduction(K).independent
-        for k in range(1, K.dimension + 1):
-            if ops.normal[k].size <= hodge._DENSE_ROWS:
-                continue
-            D = ops.d[k - 1][:, independent[k - 1]].tocsc()
-            N = (D.T @ (sp.diags(w.degree(k)) @ D)).tocsc()
-            mmd = scipy.sparse.linalg.splu(N, permc_spec="MMD_AT_PLUS_A", options=options)
-            stored = hodge._normal_factor(ops, w, k).__self__
-            assert stored.L.nnz + stored.U.nnz <= mmd.L.nnz + mmd.U.nnz, (name, k)
-            checked.append((name, k))
-    assert len(checked) == 5, checked
+def test_no_incomplete_factor_orders_the_normal_matrices(tmp_path, monkeypatch):
+    # SuperLU orders each sparse factor itself; neither the operators nor an
+    # analyze pass compute an incomplete factor
+    calls = []
+    spilu = scipy.sparse.linalg.spilu
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return spilu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spilu", spy)
+    # T^3 # T^3 has an obstructed verdict, exit code 1
+    for identifier, code in (("torus:3", 0), ("connsum:torus:3,torus:3", 1)):
+        path = tmp_path / "complex.json"
+        assert main(["generate", identifier, "-o", str(path)]) == 0
+        hodge._Operators(load_complex(path))
+        assert main(["analyze", str(path), "--all", "-o", str(tmp_path / "report.json")]) == code
+    assert calls == []
+
+
+def test_rcond_is_never_negative():
+    # X^T X of X = [v, 3v] is singular; dsyevd can return its smallest
+    # eigenvalue slightly below zero
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        v = rng.standard_normal(50)
+        X = np.column_stack([v, 3 * v])
+        assert hodge._rcond(X.T @ X) >= 0.0
 
 
 def bases_with_cut(K, weights, rows, monkeypatch):
@@ -328,8 +337,9 @@ def test_dense_and_sparse_factors_give_the_same_bases(small_zoo, monkeypatch):
         # SuperLU finds the 317- and 321-row N_2 and N_3 singular
         (1, 50, 3, "^degree-3 normal matrix is numerically singular$"),
         (2, 150, 2, "^degree-2 normal matrix is numerically singular$"),
+        (0, 150, 2, "^degree-2 normal matrix is numerically singular$"),
         # the Gram product overflows
-        (0, 150, 2, "^degree-2 Gram matrix of the projected cocycles is not finite$"),
+        (1, 150, 2, "^degree-2 Gram matrix of the projected cocycles is not finite$"),
         # through the 49-row N_1, factored dense; which certificate catches
         # these first may depend on the LAPACK build
         (7, 150, 1, "^degree-1 "),
