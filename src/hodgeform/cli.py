@@ -8,9 +8,9 @@ search, persisting the best weights plus a CSV residual trace).
 ``obstructions`` section is the verdict payload ``check`` prints.
 
 All file outputs are canonical JSON (sorted keys, stable float repr), and
-every ``-o`` takes ``-`` for stdout.  Reports of one build are byte-stable
-apart from the timings; across builds, compare ``spectral_gap``,
-``residual`` and ``variation`` with a tolerance (README).
+every ``-o``, like ``search --trace``, takes ``-`` for stdout.  Reports of
+one build are byte-stable apart from the timings; across builds, compare
+``spectral_gap``, ``residual`` and ``variation`` with a tolerance (README).
 
 Exit codes: 0 success; 1 the analysis ran fine and found an obstructed
 verdict; 2 usage or input-schema error, including an ``analyze`` stage that
@@ -87,12 +87,15 @@ def _exit_code(exc: Exception) -> int:
 _STAGES = ("betti", "hodge", "formality", "obstructions")
 
 
-def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _dump_json(payload: dict, path: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
 
 
 # zoo heads: one integer parameter, or two operand identifiers
@@ -300,9 +303,8 @@ def cmd_search(args) -> int:
     )
     best, trace = search_formal_weights(K, cfg, initial)
     _dump_json(_weights_payload(best), args.output)
-    lines = ["iteration,aggregate"]
-    lines += [f"{i},{value!r}" for i, value in enumerate(trace)]
-    Path(trace_path).write_text("\n".join(lines) + "\n")
+    lines = ["iteration,aggregate"] + [f"{i},{value!r}" for i, value in enumerate(trace)]
+    _write("\n".join(lines) + "\n", trace_path)
     return EXIT_OK
 
 
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-iterations", type=int, default=SearchConfig.max_iterations)
     s.add_argument("--degrees", help="comma-separated free degrees (default: 1..n)")
     s.add_argument("-o", "--output", required=True, help="best-weights JSON path (- for stdout)")
-    s.add_argument("--trace", help="CSV trace path (default: <output>.trace.csv)")
+    s.add_argument("--trace", help="CSV trace path (- for stdout; default: <output>.trace.csv)")
     s.set_defaults(fn=cmd_search)
     return parser
 

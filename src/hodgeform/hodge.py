@@ -28,15 +28,15 @@ dsyevd), without numpy.linalg's per-call checks.
 What does not depend on the weights is built once per complex and kept in
 ``_Operators``: the float coboundaries d_k, the exact-span columns D_k, the
 transpose of each (a view sharing its arrays, so no product transposes
-again), the sparsity pattern of N_k with the source simplex and sign of each
-off-diagonal entry (so N_k for new weights is a gather and one bincount, no
-sparse product), and the cocycles X_k, all in the exact reduction's column
-order.  A sparse factor of N_k runs in SuperLU's minimum-degree order
-(George & Liu, SIAM Rev. 31, 1989), which SuperLU computes per factor from
-the pattern of N_k.  What depends on the weights is kept next to it, in
-two places, keyed by ``MetricWeights.keys``.  The factor of N_k is kept for
-the latest w_k of each degree only, since it can be far larger than what it
-produces.  Everything else goes through one bounded LRU memo per complex,
+again), N_k as one sparse linear map T_k of w_k (its stored values are
+T_k w_k, so N_k for new weights is one mat-vec, no sparse product), and the
+cocycles X_k, all in the exact reduction's column order.  A sparse factor
+of N_k runs in SuperLU's minimum-degree order (George & Liu, SIAM Rev. 31,
+1989), which SuperLU computes per factor from the pattern of N_k.  What
+depends on the weights is kept next to it, in two places, keyed by
+``MetricWeights.keys``.  The factor of N_k is kept for the latest w_k of
+each degree only, since it can be far larger than what it produces.
+Everything else goes through one bounded LRU memo per complex,
 :func:`memoized`, keyed by a tag, the degrees the value reads and those
 degrees' keys.  The split of degree k is keyed by w_k; its certified
 residual by (w_{k-1}, w_k, w_{k+1}), because ||Delta_k h||_w reads all
@@ -201,68 +201,57 @@ def _check_weights(K: SimplicialComplex, w: MetricWeights) -> None:
 
 
 class _NormalMatrix:
-    """N_k = D^T W_k D for any w_k, from a pattern built once per complex.
+    """N_k = D^T W_k D for any w_k, as one linear map of w_k built once per
+    complex: the stored values of N_k are ``T @ w_k``.
 
-    D has entries +-1, and two distinct (k-1)-simplices lie in at most one
-    common k-simplex.  So every off-diagonal entry of N_k is one term
-    D_ri w_r D_rj = +-w_r, and the diagonal entry of column i sums w_r over
-    the k-simplices r that contain i.  One symbolic product, with row r of
-    D scaled by r + 1, gives the CSC pattern and the source row and sign of
-    every off-diagonal entry.  The values are then bitwise those of the
-    product D^T (W_k D): the same terms, each diagonal summed in row order.
-
-    An N_k of at most _DENSE_ROWS rows is also kept as the position of each
-    stored entry in a Fortran-ordered dense array (``dense_positions``, None
-    for a larger N_k), so that :meth:`dense_at` is one scatter.
+    T has one row per stored entry (i, j) of N_k, in CSC order, and one
+    column per k-simplex r: T[(i, j), r] = D_ri D_rj, so column r is
+    dN_k/dw_r.  Each row lists its r in increasing order, so the CSR product
+    sums every entry's terms in the order of D^T (W_k D), and the values are
+    bitwise that product's.  An N_k of at most _DENSE_ROWS rows also keeps
+    the position j * size + i of each stored entry in a Fortran-ordered
+    dense array (``dense_positions``, None for a larger N_k), so that
+    :meth:`dense_at` is one scatter.
     """
 
     def __init__(self, D: sp.csc_matrix):
         import scipy.sparse as sp
 
-        coded = sp.csc_matrix((D.data * (D.indices + 1), D.indices, D.indptr), D.shape)
-        pattern = (D.T @ coded).tocsc()
-        self.size = D.shape[1]
-        self.indices, self.indptr = pattern.indices, pattern.indptr
-        columns = np.repeat(np.arange(self.size, dtype=np.int32), np.diff(pattern.indptr))
-        self.diagonal = np.flatnonzero(pattern.indices == columns).astype(np.int32)
-        self.source = np.abs(pattern.data).astype(np.int32) - 1
-        self.sign = np.sign(pattern.data).astype(np.int8)
-        self.source[self.diagonal] = 0
-        self.sign[self.diagonal] = 0
-        # the row and column of every stored entry of D, in column order
-        self.entry_rows = D.indices
-        self.entry_columns = np.repeat(np.arange(self.size, dtype=np.int32), np.diff(D.indptr))
-        self.dense_positions = None
-        if self.size <= _DENSE_ROWS:
-            self.dense_positions = pattern.indices + columns * self.size
-
-    def _values(self, wk: np.ndarray) -> np.ndarray:
-        data = self.sign * wk[self.source]
-        data[self.diagonal] = np.bincount(
-            self.entry_columns, weights=wk[self.entry_rows], minlength=self.size
-        )
-        return data
+        self.size = size = D.shape[1]
+        R = D.tocsr()
+        # every ordered pair (e, f) of stored entries in one row of D: each
+        # entry e once per entry of its row, f running over that row
+        row = np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))
+        m = np.diff(R.indptr)[row]
+        e = np.repeat(np.arange(R.nnz), m)
+        f = np.arange(len(e)) - np.repeat(np.cumsum(m) - m - R.indptr[row], m)
+        # sorted by the position p of their entry (i, j) of N_k, then by r
+        p = R.indices[f].astype(np.int64) * size + R.indices[e]
+        order = np.argsort(p * R.shape[0] + row[e])
+        p, first = np.unique(p[order], return_index=True)
+        values, r = (R.data[e] * R.data[f])[order], row[e][order]
+        self.T = sp.csr_matrix((values, r, np.append(first, len(r))), (len(p), R.shape[0]))
+        self.indices = (p % size).astype(np.int32)
+        self.indptr = np.searchsorted(p, np.arange(size + 1) * size).astype(np.int32)
+        self.dense_positions = p if size <= _DENSE_ROWS else None
 
     def at(self, wk: np.ndarray) -> sp.csc_matrix:
         import scipy.sparse as sp
 
-        return sp.csc_matrix(
-            (self._values(wk), self.indices, self.indptr), shape=(self.size, self.size)
-        )
+        return sp.csc_matrix((self.T @ wk, self.indices, self.indptr), shape=(self.size, self.size))
 
     def dense_at(self, wk: np.ndarray) -> np.ndarray:
-        """N_k as a Fortran-ordered dense array, for an N_k of at most
-        _DENSE_ROWS rows."""
+        """N_k as a Fortran-ordered dense array (at most _DENSE_ROWS rows)."""
         out = np.zeros(self.size * self.size)
-        out[self.dense_positions] = self._values(wk)
+        out[self.dense_positions] = self.T @ wk
         return out.reshape((self.size, self.size), order="F")
 
 
 class _Operators:
     """What one complex needs for every weight: float coboundaries, the
-    exact-span columns D, both with their transposes, the pattern of N_k and
-    the cocycles per degree, plus the memo entries of :func:`memoized` and
-    the latest factor of N_k per degree."""
+    exact-span columns D, both with their transposes, N_k as a linear map of
+    w_k and the cocycles per degree, plus the memo entries of
+    :func:`memoized` and the latest factor of N_k per degree."""
 
     def __init__(self, K: SimplicialComplex):
         import scipy.sparse as sp
@@ -381,10 +370,9 @@ def _normal_factor(
     else:
         import scipy.sparse.linalg as spla
 
-        N = normal.at(wk)
         try:
             solve = spla.splu(
-                N,
+                normal.at(wk),
                 permc_spec="MMD_AT_PLUS_A",
                 options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
             ).solve
@@ -546,8 +534,8 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int, tol: float
     onto ker d_{j-1} = im d_{j-2} + harmonic, i.e. via the factor of N_{j-1}
     and the basis H_{j-1}, which comes from :func:`harmonic_basis` at
     ``tol``.  ARPACK finds the largest eigenvalue 1/mu_j of N_j^{-1} M with
-    the factor of N_j; no Laplacian is factorized.  Raises NumericalError
-    when ARPACK fails.
+    N_j from its linear map and the factor of N_j; no Laplacian is
+    factorized.  Raises NumericalError when ARPACK fails.
     """
     import scipy.sparse.linalg as spla
 
@@ -556,8 +544,7 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int, tol: float
     r = len(J)
     W = w.degree(j - 1)
     WJ = W[J]
-    D, D_T = ops.exact_span[j], ops.exact_span_T[j]
-    wj = w.degree(j)
+    N = ops.normal[j].at(w.degree(j))
     solve_normal = _normal_factor(ops, w, j)
     H = harmonic_basis(K, w, j - 1, tol).vectors
 
@@ -567,17 +554,13 @@ def _smallest_nonzero(K: SimplicialComplex, w: MetricWeights, j: int, tol: float
         kernel_part = H @ (H.T @ (W * x)) + _exact_part(ops, w, j - 1, x)
         return WJ * c - (W * kernel_part)[J]
 
-    def normal(c):
-        return D_T @ (wj * (D @ c))
-
     if r == 1:
-        one = np.ones(1)
-        return float(normal(one)[0] / coexact_mass(one)[0])
+        return float(N[0, 0] / coexact_mass(np.ones(1))[0])
     try:
         theta = spla.eigsh(
             spla.LinearOperator((r, r), matvec=coexact_mass, dtype=np.float64),
             k=1,
-            M=spla.LinearOperator((r, r), matvec=normal, dtype=np.float64),
+            M=N,
             Minv=spla.LinearOperator((r, r), matvec=solve_normal, dtype=np.float64),
             which="LA",
             # the Ritz value's relative error is about the square of this

@@ -10,6 +10,9 @@ import pytest
 
 import hodgeform
 from hodgeform.cli import main, parse_zoo_identifier
+from hodgeform.complexes import load_complex
+from hodgeform.formality import SearchConfig, search_formal_weights
+from hodgeform.hodge import unit_weights
 
 
 def run(args):
@@ -638,6 +641,20 @@ def test_search_dash_writes_the_weights_to_stdout(tmp_path, monkeypatch, capsys)
     assert names == ["best.csv", "best.json", "dash.csv", "t2.json"]
 
 
+def test_search_trace_dash_writes_the_csv_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run(["generate", "torus:2", "-o", "t2.json"])
+    capsys.readouterr()
+    args = ["search", "t2.json", "--max-iterations", "1", "-o", "w.json"]
+    assert run([*args, "--trace", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "iteration,aggregate"
+    K = load_complex("t2.json")
+    _, trace = search_formal_weights(K, SearchConfig(max_iterations=1), unit_weights(K))
+    assert lines[1:] == [f"{i},{value!r}" for i, value in enumerate(trace)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t2.json", "w.json"]
+
+
 @pytest.mark.parametrize(
     "outputs",
     [
@@ -645,6 +662,8 @@ def test_search_dash_writes_the_weights_to_stdout(tmp_path, monkeypatch, capsys)
         ["-o", "-"],
         # the trace would overwrite the weights
         ["-o", "best.json", "--trace", "./best.json"],
+        # both would go to stdout
+        ["-o", "-", "--trace", "-"],
     ],
 )
 def test_search_refuses_a_trace_path_it_cannot_write(tmp_path, monkeypatch, capsys, outputs):

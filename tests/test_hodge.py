@@ -191,6 +191,26 @@ def test_normal_matrix_pattern_matches_the_dense_product(small_zoo):
                 assert ops.normal[k].dense_positions is None, (name, k)
 
 
+def test_normal_matrix_is_one_linear_map_of_the_weights(small_zoo):
+    # the stored values of N_k are T w_k, with T[(i, j), r] = D_ri D_rj:
+    # one +-1 entry per ordered pair of stored entries in a row of D, and
+    # N_k at the unit vector e_r is dN_k/dw_r, the outer product of row r
+    for name, K in small_zoo.items():
+        ops = hodge._operators(K)
+        for k in range(K.dimension + 1):
+            normal, D = ops.normal[k], ops.exact_span[k].tocsr()
+            m = np.diff(D.indptr)
+            assert normal.T.shape == (len(normal.indices), K.simplex_count(k)), (name, k)
+            assert normal.T.nnz == int(np.sum(m * m)), (name, k)
+            assert set(np.unique(normal.T.data)) <= {-1.0, 1.0}, (name, k)
+            for r in np.linspace(0, K.simplex_count(k) - 1, 3).astype(int):
+                e_r = np.zeros(K.simplex_count(k))
+                e_r[r] = 1.0
+                row = D[r].toarray().ravel()
+                got = normal.at(e_r).toarray()
+                assert np.array_equal(got, np.outer(row, row)), (name, k, r)
+
+
 def spy_on_splu(monkeypatch) -> list:
     """Record (rows, permc_spec) of every SuperLU factor from now on."""
     calls = []

@@ -243,3 +243,57 @@ def test_columns_as_dicts_match_an_entry_loop(small_zoo):
             assert all(
                 type(r) is int and type(v) is int for col in got if col for r, v in col.items()
             ), (name, k)
+
+
+@pytest.mark.parametrize(
+    "columns, pivots, kernel, stripped",
+    [
+        # the kernel vector {2: 10, 0: 2, 1: 6} is divided by its content 2
+        (
+            [{0: -1, 2: 2}, {0: 2, 2: 1}, {0: -1, 2: -1}],
+            {2: 0, 0: 1},
+            {2: {0: 1, 1: 3, 2: 5}},
+            [{0: 1, 1: 3, 2: 5}],
+        ),
+        # the third column's pivot {0: -4} and its operations
+        # {0: 6, 1: 14, 2: 18} are divided by their common content 2
+        (
+            [{2: -3, 3: -2}, {0: 1, 3: -3}, {0: -1, 2: 1, 3: 3}],
+            {3: 0, 2: 1, 0: 2},
+            {},
+            [{0: -2}, {0: 3, 1: 7, 2: 9}],
+        ),
+    ],
+)
+def test_reduction_strips_the_content_of_kernel_vectors_and_pivots(
+    monkeypatch, columns, pivots, kernel, stripped
+):
+    import scipy.sparse as sp
+
+    from hodgeform import homology
+
+    changed = []
+    strip = homology._strip_content
+
+    def spy(*vectors):
+        before = [dict(v) for v in vectors]
+        strip(*vectors)
+        if before != list(vectors):
+            changed.extend(dict(v) for v in vectors)
+
+    monkeypatch.setattr(homology, "_strip_content", spy)
+    got_pivots, got_kernel = homology._reduce_columns([dict(c) for c in columns])
+    assert got_pivots == pivots
+    assert got_kernel == kernel
+    assert changed == stripped
+    dense = np.zeros((1 + max(max(c) for c in columns), len(columns)), dtype=np.int64)
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            dense[i, j] = v
+    for vector in got_kernel.values():
+        # primitive, and a relation between the columns
+        assert np.gcd.reduce(list(vector.values())) == 1
+        combination = np.zeros(len(columns), dtype=np.int64)
+        combination[list(vector)] = list(vector.values())
+        assert not (dense @ combination).any()
+    assert exact_rank(sp.csc_matrix(dense)) == np.linalg.matrix_rank(dense.astype(float))
