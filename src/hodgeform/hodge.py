@@ -32,7 +32,12 @@ again), N_k as one sparse linear map T_k of w_k (its stored values are
 T_k w_k, so N_k for new weights is one mat-vec, no sparse product), and the
 cocycles X_k, all in the exact reduction's column order.  A sparse factor
 of N_k runs in SuperLU's minimum-degree order (George & Liu, SIAM Rev. 31,
-1989), which SuperLU computes per factor from the pattern of N_k.  What
+1989), which SuperLU computes per factor from the pattern of N_k, on the
+natural supernodes of that order (``relax=1``).  SuperLU's default relaxed
+supernodes pad small supernodes with explicit zeros (Demmel et al., SIAM
+J. Matrix Anal. Appl. 20, 1999); the N_k built from the cliques of a
+triangulation do not repay it, and on natural supernodes their factors
+keep their L+U nonzero count and take less time.  What
 depends on the weights is kept next to it, in two places, keyed by
 ``MetricWeights.keys``.  The factor of N_k is kept for the latest w_k of
 each degree only, since it can be far larger than what it produces.
@@ -345,7 +350,9 @@ def _normal_factor(
 
     N_k is positive definite.  At most _DENSE_ROWS rows, it is made dense
     and factored by LAPACK's Cholesky (dpotrf, solves by dpotrs); larger,
-    by SuperLU with diagonal pivots in its minimum-degree order of N_k.
+    by SuperLU with diagonal pivots in its minimum-degree order of N_k, on
+    natural supernodes (relax=1, no padding with explicit zeros).  Pass no
+    other expert option: panel_size=40 corrupted memory in scipy 1.17.1.
     Raises NumericalError when either factor finds N_k numerically singular.
     Only the solver for the latest w_k of each degree is kept."""
     if not ops.exact_span[k].shape[1]:
@@ -374,6 +381,7 @@ def _normal_factor(
             solve = spla.splu(
                 normal.at(wk),
                 permc_spec="MMD_AT_PLUS_A",
+                relax=1,
                 options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
             ).solve
         except RuntimeError:  # SuperLU's "Factor is exactly singular"

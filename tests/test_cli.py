@@ -656,6 +656,29 @@ def test_search_trace_dash_writes_the_csv_to_stdout(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize(
+    "outputs, streamed, written",
+    [
+        (["-o", "./-", "--trace", "-"], "best.csv", "best.json"),
+        (["-o", "-", "--trace", "./-"], "best.json", "best.csv"),
+    ],
+)
+def test_search_streams_to_stdout_beside_a_file_named_dash(
+    tmp_path, monkeypatch, capsys, outputs, streamed, written
+):
+    # ./- names a file called -, which is not the stdout stream -
+    monkeypatch.chdir(tmp_path)
+    run(["generate", "torus:2", "-o", "t2.json"])
+    args = ["search", "t2.json", "--max-iterations", "1"]
+    assert run([*args, "-o", "best.json", "--trace", "best.csv"]) == 0
+    capsys.readouterr()
+    assert run([*args, *outputs]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / streamed).read_bytes()
+    assert (tmp_path / "-").read_bytes() == (tmp_path / written).read_bytes()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["-", "best.csv", "best.json", "t2.json"]
+
+
+@pytest.mark.parametrize(
     "outputs",
     [
         # the default trace path of stdout would be a file named -.trace.csv
@@ -781,3 +804,84 @@ def test_analyze_tolerance_reaches_the_spectral_gap_bases(tmp_path, monkeypatch)
     assert run([*args, "--tolerance", "1e-9"]) == 3
     error = json.loads(report_path.read_text())["errors"]["hodge"]
     assert "reciprocal condition 1.000e-10 <= tolerance 1.000e-09" in error, error
+
+
+# ---------------------------------------------------------------------------
+# interpreter exit
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    # main only registers gc.freeze to run at exit: collection stays on and
+    # nothing is frozen while a command runs, whatever its exit code
+    import gc
+
+    complex_path = tmp_path / "t2.json"
+    run(["generate", "torus:2", "-o", complex_path])
+    weights_path = tmp_path / "w.json"
+    weights_path.write_text(json.dumps({"weights": [[1] * 9, [1e-300] + [1] * 26, [1] * 18]}))
+    report = ["-o", tmp_path / "r.json"]
+    cases = (
+        (["analyze", complex_path, "--all", *report], 0),
+        (["analyze", tmp_path / "missing.json", *report], 2),
+        # a tiny weight fails the residual certificate
+        (["analyze", complex_path, "--hodge", "--weights", weights_path, *report], 3),
+    )
+    for args, code in cases:
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert run(args) == code, args
+        assert (gc.isenabled(), gc.get_freeze_count()) == before, args
+
+
+_EXIT_PROBE = """
+import atexit, gc, sys
+from hodgeform import cli
+freezes = []
+freeze = gc.freeze
+def counted():
+    freezes.append(gc.get_freeze_count())
+    freeze()
+gc.freeze = counted
+# registered before main, so it runs after main's registration at exit
+atexit.register(lambda: print(len(freezes), freezes[0], gc.get_freeze_count()))
+for _ in range(2):
+    assert cli.main(["generate", "torus:2", "-o", sys.argv[1]]) == 0
+"""
+
+
+def test_exit_freezes_the_heap_once(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(hodgeform.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _EXIT_PROBE, str(tmp_path / "t2.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    calls, frozen_before, frozen_after = map(int, child.stdout.split())
+    assert (calls, frozen_before) == (1, 0)
+    assert frozen_after > 0
+
+
+def run_console_script(args, cwd) -> subprocess.CompletedProcess:
+    """A fresh process that runs ``main`` as the ``hodgeform`` console
+    script does, exit included."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hodgeform.__file__).parents[1]))
+    entry = "import sys; from hodgeform.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", entry, *map(str, args)],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
+def test_fresh_processes_flush_their_output_and_exit_codes(tmp_path):
+    assert run_console_script(["generate", "torus:2", "-o", "t2.json"], tmp_path).returncode == 0
+    analyzed = run_console_script(["analyze", "t2.json", "--all", "-o", "-"], tmp_path)
+    assert analyzed.returncode == 0, analyzed.stderr
+    assert json.loads(analyzed.stdout)["homology"]["betti"] == [1, 2, 1]
+    checked = run_console_script(["check", summaries_dir() / "k3.json"], tmp_path)
+    assert checked.returncode == 1, checked.stderr
+    assert json.loads(checked.stdout)["verdict"] == "obstructed"
+    args = ["search", "t2.json", "-o", "w.json", "--trace", "-", "--max-iterations", "1"]
+    searched = run_console_script(args, tmp_path)
+    assert searched.returncode == 0, searched.stderr
+    lines = searched.stdout.splitlines()
+    assert lines[0] == "iteration,aggregate" and len(lines) >= 2
+    assert "weights" in json.loads((tmp_path / "w.json").read_text())

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,13 +215,16 @@ def test_normal_matrix_is_one_linear_map_of_the_weights(small_zoo):
                 assert np.array_equal(got, np.outer(row, row)), (name, k, r)
 
 
-def spy_on_splu(monkeypatch) -> list:
-    """Record (rows, permc_spec) of every SuperLU factor from now on."""
+def spy_on_splu(monkeypatch, expert: list | None = None) -> list:
+    """Record (rows, permc_spec) of every SuperLU factor from now on, and
+    its (relax, panel_size) arguments into ``expert`` when given."""
     calls = []
     splu = scipy.sparse.linalg.splu
 
     def spy(A, permc_spec=None, **kwargs):
         calls.append((A.shape[0], permc_spec))
+        if expert is not None:
+            expert.append((kwargs.get("relax"), kwargs.get("panel_size")))
         return splu(A, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
@@ -277,6 +284,56 @@ def test_each_weight_state_factors_each_large_normal_matrix_once(tmp_path, monke
     assert len(calls) == 2 + sum(k in (2, 3) for k, _ in moved) + 2
     assert {spec for _, spec in calls} == {"MMD_AT_PLUS_A"}
     assert min(rows for rows, _ in calls) > hodge._DENSE_ROWS
+
+
+def test_every_sparse_factor_runs_on_natural_supernodes(tmp_path, monkeypatch):
+    # relax=1 and no other expert option: with panel_size=40 added, fresh
+    # processes that factored torus:4's N_2 and N_3, or ran the soak below,
+    # crashed with a segmentation fault at exit under scipy 1.17.1
+    expert = []
+    calls = spy_on_splu(monkeypatch, expert)
+    # T^3 # T^3 has an obstructed verdict, exit code 1
+    for identifier, code in (("torus:3", 0), ("connsum:torus:3,torus:3", 1)):
+        path = tmp_path / "complex.json"
+        assert main(["generate", identifier, "-o", str(path)]) == 0
+        assert main(["analyze", str(path), "--all", "-o", str(tmp_path / "report.json")]) == code
+    # N_2 and N_3 of each complex, once per pass
+    assert [rows for rows, _ in calls] == [160, 161, 317, 321]
+    assert expert == [(1, None)] * 4
+
+
+_SOAK = """
+import numpy as np
+from hodgeform import hodge
+from hodgeform.complexes import connected_sum, torus
+worst = 0.0
+for K in (torus(3), connected_sum(torus(3), torus(3))):
+    ops = hodge._operators(K)
+    for seed in range(16):
+        w = hodge.random_weights(K, seed)
+        solve = hodge._normal_factor(ops, w, 2)
+        N = ops.normal[2].at(w.degree(2))
+        b = np.random.default_rng(seed).standard_normal((N.shape[0], 4))
+        for rhs in (b, b[:, 0]):
+            r = np.linalg.norm(N @ solve(rhs) - rhs) / np.linalg.norm(rhs)
+            worst = max(worst, r)
+        # the next seed's factor replaces this one, which SuperLU frees
+        del solve
+print(float(worst))
+"""
+
+
+def test_sparse_factors_survive_repeated_factor_solve_free_cycles():
+    # 32 factor/solve/free cycles of N_2 (torus:3 and T^3 # T^3, both above
+    # the dense cut) in a child process, which must exit cleanly: memory
+    # corrupted by a factor shows as a crash, often only at exit
+    env = dict(os.environ, PYTHONPATH=str(Path(hodge.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SOAK],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert float(child.stdout) <= 1e-10
 
 
 def test_no_incomplete_factor_orders_the_normal_matrices(tmp_path, monkeypatch):
