@@ -14,14 +14,14 @@ blocks of cochains, as the pair sweep of :mod:`hodgeform.formality` does.
 The intersection form is this product paired with the fundamental class on
 the middle-degree integral cocycles of the exact reduction.  It is an
 integer matrix, so b+, b-, the signature and the skew rank are read from it
-exactly: no weights, harmonic basis or eigenvalue cut enter, and a
+exactly, b+ and b- by Descartes' rule of signs on its integer characteristic
+polynomial: no weights, harmonic basis or eigenvalue cut enter, and a
 degenerate form is reported rather than failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -79,32 +79,22 @@ class IntersectionForm:
 
 
 def _inertia(Q: np.ndarray) -> tuple[int, int]:
-    """(positive, negative) pivot counts of a symmetric integer matrix:
-    Sylvester's law of inertia, by symmetric elimination over the rationals."""
-    A = [[Fraction(int(x)) for x in row] for row in Q]
-    plus = minus = 0
-    while A:
-        p = next((i for i in range(len(A)) if A[i][i]), None)
-        if p is None:
-            # every diagonal entry is 0: adding row and column j into p
-            # puts 2 A_pj != 0 on the diagonal
-            nonzero = [(i, j) for i, row in enumerate(A) for j, x in enumerate(row) if x]
-            if not nonzero:
-                break  # what is left is the radical
-            p, j = nonzero[0]
-            for row in A:
-                row[p] += row[j]
-            A[p] = [x + y for x, y in zip(A[p], A[j])]
-        pivot_row = A.pop(p)
-        d = pivot_row.pop(p)
-        plus += d > 0
-        minus += d < 0
-        for row in A:
-            c = row.pop(p) / d
-            if c:
-                for s, x in enumerate(pivot_row):
-                    row[s] -= c * x
-    return plus, minus
+    """(positive, negative) eigenvalue counts of a symmetric integer matrix.
+    Its characteristic polynomial det(xI - Q) comes in Python ints from the
+    Faddeev-LeVerrier recurrence, whose divisions are exact.  Every root is
+    real, so Descartes' rule of signs on p(x) and p(-x) counts the positive
+    and negative ones exactly, with multiplicity."""
+    A, I = Q.astype(object), np.eye(len(Q), dtype=object)
+    P, coeffs = np.zeros_like(A), [1]  # of x^n, x^(n-1), .., x^0
+    for k in range(1, len(Q) + 1):
+        P = A @ (P + coeffs[-1] * I)
+        coeffs.append(-np.trace(P) // k)
+
+    def sign_changes(cs: list[int]) -> int:
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return sign_changes(coeffs), sign_changes([(-1) ** i * c for i, c in enumerate(coeffs)])
 
 
 def _pairing(K: SimplicialComplex) -> IntersectionForm:

@@ -110,7 +110,8 @@ RESIDUAL_LIMIT = 1e-8
 # 15 pair blocks, fewer where a degree has no harmonic cochains.  64 holds
 # two such states, the current weights and a candidate.
 # Factors of N_k stay out of the memo, one per degree (for the latest w_k):
-# an N_3 factor on torus:4 has 1.25 M fill.
+# an N_3 factor on torus:4 has 1.25 M fill.  As memo entries they cost 2.4 %
+# per S^2 x S^2 candidate and 110 -> 133 MB peak RSS on a torus:4 stream.
 _MEMO_SIZE = 64
 # N_k of at most this many rows is factored dense by LAPACK's Cholesky,
 # which costs less than SuperLU's fixed set-up at that size; a larger one
@@ -417,7 +418,9 @@ def _orthonormalize(X: np.ndarray, wk: np.ndarray, gram: np.ndarray) -> np.ndarr
     """X L^{-T} with L L^T = ``gram``, the W-Gram matrix of X, then once
     more with the Gram matrix of the result, which brings the
     W-orthogonality defect to round-off for any certified X.  L has one row
-    per cohomology class, so its inverse is cheap to form."""
+    per cohomology class, so its inverse is cheap to form.  A Householder QR
+    of W^{1/2} X divides round-off by sqrt(w) instead: on T^3 # T^3 at
+    weights 10^U(-150, 150) its degree-0 residual reached 6.4e+118."""
     X = X @ _inverse_cholesky(gram).T
     return X @ _inverse_cholesky(X.T @ (wk[:, None] * X)).T
 
@@ -437,7 +440,8 @@ def _build_split(ops: _Operators, w: MetricWeights, k: int) -> tuple[np.ndarray,
     """(vectors, gram_rcond, parts) of the nonempty degree-k harmonic basis H
     for w_k.  ``parts`` are what the residual certificate reads of w_k
     alone: d_k H, d_{k-1}^T (W_k H) (None where the operator does not exist)
-    and the w-norms of the columns of H."""
+    and the w-norms of the columns of H; recomputing them per residual cost
+    4.7 % per search candidate on S^2 x S^2 and 1.8 % on torus:3."""
     X, wk = ops.cocycles[k], w.degree(k)
     X = X - _exact_part(ops, w, k, X)
     # one Gram matrix for the condition and the first orthonormalization;

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -104,3 +105,23 @@ def test_analyze_loads_the_scipy_solvers(tmp_path):
     )
     loaded = loaded_scipy_modules(code, tmp_path)
     assert {"scipy.sparse", "scipy.sparse.linalg", "scipy.linalg.lapack"} <= set(loaded)
+
+
+def test_readme_library_sketch_runs_and_holds_its_comments():
+    # runs the fenced python block under "Library sketch" one statement at a
+    # time, keeping the value of each bare expression for its comment
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    betti, block_4x18, _, b_pm, fired = values
+    assert namespace["K"].f_vector == (9, 27, 18)
+    assert betti == (1, 2, 1)
+    assert namespace["basis"].cardinality == 2
+    assert block_4x18.shape == (4, 18)
+    assert b_pm == (1, 1)
+    assert fired == ("R1", "R5")

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgeform.complexes import orient, product_complex, sphere, torus
-from hodgeform.cup import cup, intersection_form
+from hodgeform.cup import _inertia, cup, intersection_form
 from hodgeform.hodge import harmonic_basis, random_weights, unit_weights
-from hodgeform.homology import boundary_matrix, cohomology_reduction
+from hodgeform.homology import boundary_matrix, cohomology_reduction, exact_rank
 
 
 def loop_cup(K, k, a, l, b):
@@ -274,3 +278,94 @@ def test_cup_matches_loop_oracle(small_zoo):
                 assert exact.dtype == object and exact.shape == shape, (name, k, l)
                 assert exact.tolist() == [loop_cup(K, k, a, l, b) for a in FA for b in FB]
                 assert all(isinstance(x, Fraction) for x in exact.ravel()), (name, k, l)
+
+
+def reference_inertia(Q):
+    """(positive, negative) pivot counts of a symmetric integer matrix by
+    symmetric elimination over the rationals (Sylvester's law of inertia):
+    the library's former implementation, kept as an independent oracle."""
+    A = [[Fraction(int(x)) for x in row] for row in Q]
+    plus = minus = 0
+    while A:
+        p = next((i for i in range(len(A)) if A[i][i]), None)
+        if p is None:
+            # every diagonal entry is 0: adding row and column j into p
+            # puts 2 A_pj != 0 on the diagonal
+            nonzero = [(i, j) for i, row in enumerate(A) for j, x in enumerate(row) if x]
+            if not nonzero:
+                break  # what is left is the radical
+            p, j = nonzero[0]
+            for row in A:
+                row[p] += row[j]
+            A[p] = [x + y for x, y in zip(A[p], A[j])]
+        pivot_row = A.pop(p)
+        d = pivot_row.pop(p)
+        plus += d > 0
+        minus += d < 0
+        for row in A:
+            c = row.pop(p) / d
+            if c:
+                for s, x in enumerate(pivot_row):
+                    row[s] -= c * x
+    return plus, minus
+
+
+def symmetric_from_upper(n, upper):
+    """The symmetric int64 n x n matrix whose upper triangle, row by row,
+    is ``upper``."""
+    Q = np.zeros((n, n), dtype=np.int64)
+    Q[np.triu_indices(n)] = upper
+    return Q + np.triu(Q, 1).T
+
+
+def test_inertia_counts_eigenvalue_signs_on_every_small_matrix():
+    # all 5 + 125 matrices with n <= 2 and entries -2..2, all 729 with
+    # n = 3 and entries -1..1
+    for n, entries in ((1, range(-2, 3)), (2, range(-2, 3)), (3, range(-1, 2))):
+        for upper in product(entries, repeat=n * (n + 1) // 2):
+            Q = symmetric_from_upper(n, upper)
+            eigs = np.linalg.eigvalsh(Q)
+            plus, minus = _inertia(Q)
+            assert (plus, minus) == (np.sum(eigs > 1e-9), np.sum(eigs < -1e-9)), Q
+            assert n - plus - minus == n - exact_rank(Q), Q
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    """n <= 8: a random upper triangle, or a rank-deficient B D B^T; either
+    one with its diagonal cleared half the time."""
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n))
+        B = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * r, max_size=n * r)), dtype=np.int64)
+        D = np.array(draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)), dtype=np.int64)
+        B = B.reshape(n, r)
+        Q = (B * D) @ B.T
+    else:
+        size = n * (n + 1) // 2
+        Q = symmetric_from_upper(n, draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        np.fill_diagonal(Q, 0)
+    return Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_integer_matrices())
+def test_inertia_matches_elimination_over_the_rationals(Q):
+    plus, minus = _inertia(Q)
+    assert (plus, minus) == reference_inertia(Q)
+    assert plus + minus == exact_rank(Q)
+
+
+def test_inertia_of_classical_forms():
+    H = np.array([[0, 1], [1, 0]])
+    E8 = 2 * np.eye(8, dtype=np.int64)
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)):
+        E8[i, j] = E8[j, i] = -1
+    assert _inertia(np.zeros((0, 0), dtype=np.int64)) == (0, 0)
+    assert _inertia(H) == (1, 1)
+    assert _inertia(scipy.linalg.block_diag(H, H, H)) == (3, 3)  # torus:4
+    assert _inertia(E8) == (8, 0)
+    assert _inertia(-E8) == (0, 8)
+    # the K3 surface's form 2(-E8) + 3H
+    assert _inertia(scipy.linalg.block_diag(-E8, -E8, H, H, H)) == (3, 19)

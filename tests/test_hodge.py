@@ -435,6 +435,22 @@ def test_far_apart_weights_fail_as_numerical_errors(torus3_sum, seed, span, k, f
             harmonic_basis(torus3_sum, w, k)
 
 
+def test_degree_zero_basis_is_exactly_constant(torus3_sum):
+    # H = X T scales the constant cocycle by one number, so the degree-0
+    # vector stays exactly constant and d_0 H exactly 0, also at the
+    # far-apart draws above, whose degree-1 failures need degree 0 to pass
+    K = torus3_sum
+    draws = [unit_weights(K), random_weights(K, 0)]
+    for seed, span in ((2, 150), (7, 150), (3, 300)):
+        rng = np.random.default_rng(seed)
+        draws.append(MetricWeights(tuple(10.0 ** rng.uniform(-span, span, f) for f in K.f_vector)))
+    for i, w in enumerate(draws):
+        basis = harmonic_basis(K, w, 0)
+        H = basis.vectors
+        assert H.shape == (K.vertex_count, 1) and np.all(H == H[0]), i
+        assert basis.residual == 0.0, i
+
+
 def test_vertex_laplacian_of_circle_is_graph_laplacian(spheres):
     got = laplacian(spheres[1], unit_weights(spheres[1]), 0).toarray()
     expected = np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 2]])
