@@ -34,7 +34,6 @@ from .hodge import (
     HarmonicBasis,
     MetricWeights,
     harmonic_basis,
-    laplacian,
     random_weights,
     spectral_gaps,
     unit_weights,
@@ -78,7 +77,6 @@ __all__ = [
     "unit_weights",
     "random_weights",
     "weights_from_arrays",
-    "laplacian",
     "harmonic_basis",
     "spectral_gaps",
     "IntersectionForm",

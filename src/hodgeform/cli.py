@@ -205,7 +205,10 @@ def _analyze_report(
             if gap is not None and gap <= tol:
                 raise NumericalError(
                     f"spectral gap of Delta_{k} is {gap:.3e} <= tolerance {tol:.3e}: "
-                    f"the numerical nullspace does not have dimension b_{k}"
+                    f"the first nonzero eigenvalue lambda of Delta_{k}, over its "
+                    f"Gershgorin scale, is that small, so a basis vector's harmonicity "
+                    f"residual bounds its w-distance from the harmonic cochains only "
+                    f"loosely, by ||Delta h||_w / lambda"
                 )
             degrees.append(
                 {

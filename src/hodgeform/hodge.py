@@ -97,7 +97,6 @@ __all__ = [
     "unit_weights",
     "random_weights",
     "weights_from_arrays",
-    "laplacian",
     "harmonic_basis",
     "spectral_gaps",
 ]
@@ -297,26 +296,6 @@ def memoized(K: SimplicialComplex, w: MetricWeights, tag: str, degrees: tuple[in
     if len(entries) > _MEMO_SIZE:
         entries.popitem(last=False)
     return value
-
-
-def laplacian(K: SimplicialComplex, w: MetricWeights, k: int) -> sp.csr_matrix:
-    """Delta_k as a sparse matrix; self-adjoint under the weighted inner
-    product and positive semidefinite (not symmetric as a plain matrix)."""
-    import scipy.sparse as sp
-
-    if not 0 <= k <= K.dimension:
-        raise ValueError(f"degree {k} out of range 0..{K.dimension}")
-    _check_weights(K, w)
-    ops = _operators(K)
-    m = len(w.degree(k))
-    out = sp.csr_matrix((m, m))
-    if k < len(ops.d):
-        d, d_T = ops.d[k], ops.d_T[k]
-        out = out + sp.diags(1.0 / w.degree(k)) @ d_T @ sp.diags(w.degree(k + 1)) @ d
-    if k > 0:
-        d, d_T = ops.d[k - 1], ops.d_T[k - 1]
-        out = out + d @ sp.diags(1.0 / w.degree(k - 1)) @ d_T @ sp.diags(w.degree(k))
-    return out.tocsr()
 
 
 @dataclass(frozen=True, eq=False)
@@ -599,14 +578,26 @@ def spectral_gaps(
     :func:`harmonic_basis` for the same weights, and certifies those bases
     at ``tol``.
     """
+    import scipy.sparse as sp
+
     _check_weights(K, w)
     n = K.dimension
+    ops = _operators(K)
     mu = [None] + [_smallest_nonzero(K, w, j, tol) for j in range(1, n + 1)] + [None]
     gaps = []
     for k in range(n + 1):
         nonzero = [m for m in (mu[k], mu[k + 1]) if m is not None]
-        L = abs(laplacian(K, w, k))
-        sqrt_w = np.sqrt(w.degree(k))
-        scale = float(np.max(sqrt_w * (L @ (1.0 / sqrt_w)), initial=0.0))
-        gaps.append(min(nonzero) / scale if nonzero and scale > 0 else None)
+        if not nonzero:
+            gaps.append(None)
+            continue
+        # Delta_k = W_k^{-1} d_k^T W_{k+1} d_k + d_{k-1} W_{k-1}^{-1} d_{k-1}^T W_k
+        wk = w.degree(k)
+        L = sp.csr_matrix((len(wk), len(wk)))
+        if k < n:
+            L = L + sp.diags(1.0 / wk) @ ops.d_T[k] @ sp.diags(w.degree(k + 1)) @ ops.d[k]
+        if k > 0:
+            L = L + ops.d[k - 1] @ sp.diags(1.0 / w.degree(k - 1)) @ ops.d_T[k - 1] @ sp.diags(wk)
+        sqrt_w = np.sqrt(wk)
+        scale = float(np.max(sqrt_w * (abs(L) @ (1.0 / sqrt_w))))
+        gaps.append(min(nonzero) / scale)
     return tuple(gaps)

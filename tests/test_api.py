@@ -40,9 +40,10 @@ def test_deleted_names_stay_unexported():
     exported = {
         name for m in modules for name in getattr(importlib.import_module(m), "__all__", ())
     }
-    deleted = {"Cochain", "evaluate_on_fundamental_class", "harmonic_projection", "norm"}
+    deleted = {"Cochain", "evaluate_on_fundamental_class", "harmonic_projection", "laplacian", "norm"}
     assert exported & deleted == set()
     assert not hasattr(HarmonicBasis, "cochains")
+    assert not hasattr(hodgeform, "laplacian") and not hasattr(hodgeform.hodge, "laplacian")
 
 
 # Runs CODE (argv[1]) in a fresh interpreter, with OUT (argv[2]) a scratch

@@ -589,6 +589,17 @@ def test_analyze_refuses_a_small_spectral_gap(tmp_path):
     assert error.startswith("spectral gap of Delta_0 is 2.042e-01 <= tolerance"), error
 
 
+def test_analyze_a_point_reports_no_spectral_gap(tmp_path):
+    # Delta_0 of a point is zero: no gap to gate, and the pass exits 0
+    complex_path = tmp_path / "pt.json"
+    complex_path.write_text(json.dumps({"facets": [[0]]}))
+    report_path = tmp_path / "report.json"
+    assert run(["analyze", complex_path, "--all", "-o", report_path]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["hodge"]["degrees"][0]["spectral_gap"] is None
+    assert report["obstructions"]["model"] == "point"
+
+
 def test_search_numerical_failure_exits_3(tmp_path, capsys):
     # a 1e12 weight spread leaves the degree-1 basis uncertified
     import numpy as np

@@ -193,6 +193,28 @@ def test_sphere_reports_exact_zero(spheres):
         assert all(p.residual == 0.0 for p in report.pairs)
 
 
+def test_only_rational_homology_spheres_read_zero_at_random_weights(
+    spheres, tori, surfaces, s2xs2, torus3_sum
+):
+    # the paper's second theorem on the probe: some harmonic product is not
+    # harmonic exactly when the complex is not a rational homology sphere
+    spheres_q = {f"sphere:{n}": K for n, K in spheres.items()} | {"torus:1": tori[1]}
+    others = {
+        "torus:2": tori[2],
+        "torus:3": tori[3],
+        "surface:2": surfaces[2],
+        "S2xS2": s2xs2,
+        "S1xS2": product_complex(sphere(1), sphere(2)),
+        "S1xS3": product_complex(sphere(1), sphere(3)),
+        "T3#T3": torus3_sum,
+    }
+    for seed in (0, 1, 2):
+        for name, K in spheres_q.items():
+            assert formality_residual(K, random_weights(K, seed)).aggregate == 0.0, (name, seed)
+        for name, K in others.items():
+            assert formality_residual(K, random_weights(K, seed)).aggregate > 0, (name, seed)
+
+
 def test_s2xs2_unit_weight_residuals_are_pinned():
     # The residuals are taken over the class-order cocycle basis of each
     # degree, so they depend on that choice of orthonormal basis; this pins

@@ -27,13 +27,12 @@ from hodgeform.errors import NumericalError
 from hodgeform.hodge import (
     MetricWeights,
     harmonic_basis,
-    laplacian,
     random_weights,
     spectral_gaps,
     unit_weights,
     weights_from_arrays,
 )
-from hodgeform.homology import betti_numbers, boundary_matrix
+from hodgeform.homology import betti_numbers, boundary_matrix, cohomology_reduction
 
 from test_formality import w_norm
 
@@ -78,7 +77,6 @@ def test_every_entry_point_checks_the_weights_against_the_complex(tori):
     wrong = MetricWeights((np.ones(9), np.ones(26), np.ones(18)))
     entry_points = (
         lambda w: weights_from_arrays(K, w.by_degree),
-        lambda w: laplacian(K, w, 1),
         lambda w: harmonic_basis(K, w, 1),
         lambda w: spectral_gaps(K, w),
         lambda w: formality_residual(K, w),
@@ -105,8 +103,8 @@ def test_weights_of_any_dtype_are_kept_as_float64(tori):
     ints = MetricWeights(tuple(np.ones(K.simplex_count(k), dtype=np.int64) for k in range(3)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        L = laplacian(K, ints, 1)
-    assert np.allclose(L.toarray(), laplacian(K, unit_weights(K), 1).toarray())
+        gaps = spectral_gaps(K, ints)
+    assert gaps == spectral_gaps(K, unit_weights(K))
 
 
 def test_replace_checks_and_converts_only_the_new_vector(tori):
@@ -452,23 +450,15 @@ def test_degree_zero_basis_is_exactly_constant(torus3_sum):
 
 
 def test_vertex_laplacian_of_circle_is_graph_laplacian(spheres):
-    got = laplacian(spheres[1], unit_weights(spheres[1]), 0).toarray()
+    got = dense_laplacian(spheres[1], unit_weights(spheres[1]), 0)
     expected = np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 2]])
     assert np.array_equal(got, expected)
 
 
 def test_constant_vertex_cochain_is_harmonic(tori):
     w = unit_weights(tori[2])
-    L0 = laplacian(tori[2], w, 0)
+    L0 = dense_laplacian(tori[2], w, 0)
     assert np.abs(L0 @ np.ones(9)).max() < 1e-14
-
-
-def test_laplacian_matches_dense_assembly(tori, surfaces):
-    for K in (tori[2], surfaces[2]):
-        w = random_weights(K, 42)
-        for k in range(K.dimension + 1):
-            got = laplacian(K, w, k).toarray()
-            assert np.allclose(got, dense_laplacian(K, w, k), atol=1e-12)
 
 
 def test_self_adjoint_under_weights(tori):
@@ -476,7 +466,7 @@ def test_self_adjoint_under_weights(tori):
     w = random_weights(K, 5)
     rng = np.random.default_rng(6)
     for k in range(3):
-        L = laplacian(K, w, k)
+        L = dense_laplacian(K, w, k)
         m = K.simplex_count(k)
         for _ in range(5):
             x, y = rng.standard_normal(m), rng.standard_normal(m)
@@ -492,14 +482,9 @@ def test_spectrum_nonnegative(small_zoo):
             if not K.simplex_count(k):
                 continue
             sqrt_w = np.sqrt(w.degree(k))
-            S = np.diag(sqrt_w) @ laplacian(K, w, k).toarray() @ np.diag(1.0 / sqrt_w)
+            S = np.diag(sqrt_w) @ dense_laplacian(K, w, k) @ np.diag(1.0 / sqrt_w)
             eigs = scipy.linalg.eigvalsh(0.5 * (S + S.T))
             assert eigs[0] >= -1e-9 * max(eigs[-1], 1.0)
-
-
-def test_laplacian_degree_out_of_range(tori):
-    with pytest.raises(ValueError):
-        laplacian(tori[2], unit_weights(tori[2]), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +545,7 @@ def test_basis_harmonicity_residual(surfaces):
     w = random_weights(K, 10)
     basis = harmonic_basis(K, w, 1)
     assert basis.residual <= 1e-8
-    L = laplacian(K, w, 1)
+    L = dense_laplacian(K, w, 1)
     for i in range(basis.cardinality):
         x = basis.vectors[:, i]
         assert w_norm(w, 1, L @ x) <= 1e-8 * w_norm(w, 1, x)
@@ -573,6 +558,36 @@ def test_absurd_tolerance_fails_loudly(tori, spheres):
     for tol in (1.0, 10.0):
         with pytest.raises(NumericalError):
             harmonic_basis(spheres[2], unit_weights(spheres[2]), 1, tol=tol)
+
+
+def dense_gram_rcond(K, w, k):
+    """Reciprocal condition of the W_k-Gram matrix of the exact reduction's
+    degree-k cocycles, projected W_k-orthogonally off im d_{k-1} by least
+    squares on W^{1/2}."""
+    X = np.asarray(cohomology_reduction(K).cocycles[k], dtype=float)
+    wk = w.degree(k)
+    if k > 0:
+        d = boundary_matrix(K, k).T.toarray().astype(float)
+        root = np.sqrt(wk)[:, None]
+        X = X - d @ np.linalg.lstsq(root * d, root * X, rcond=None)[0]
+    eigs = scipy.linalg.eigvalsh(X.T @ (wk[:, None] * X))
+    return eigs[0] / eigs[-1]
+
+
+def test_gram_rcond_matches_dense_oracle(small_zoo):
+    # gram_rcond is the margin that tol certifies: a tol just above it is
+    # refused, one just below it passes
+    for name, K in small_zoo.items():
+        for w in (unit_weights(K), random_weights(K, 0)):
+            for k in range(K.dimension + 1):
+                if not betti_numbers(K)[k]:
+                    continue
+                r = harmonic_basis(K, w, k).gram_rcond
+                want = dense_gram_rcond(K, w, k)
+                assert abs(r - want) <= 1e-8 * want, (name, k, r, want)
+                with pytest.raises(NumericalError, match="reciprocal condition"):
+                    harmonic_basis(K, w, k, tol=r * (1 + 1e-6))
+                assert harmonic_basis(K, w, k, tol=r * (1 - 1e-6)).gram_rcond == r
 
 
 def test_tolerance_must_be_positive(tori):
@@ -599,8 +614,10 @@ def test_basis_depends_on_its_own_degree_weights_only(small_zoo):
 
 
 def test_spectral_gaps_match_dense_oracle(small_zoo):
-    # the single edge has a one-column pencil
-    for name, K in {**small_zoo, "edge": build_complex([(0, 1)])}.items():
+    # the single edge has a one-column pencil, and the point's Delta_0 no
+    # nonzero eigenvalue
+    extra = {"edge": build_complex([(0, 1)]), "point": build_complex([[0]])}
+    for name, K in {**small_zoo, **extra}.items():
         w = random_weights(K, 60)
         betti = betti_numbers(K)
         gaps = spectral_gaps(K, w)
@@ -623,7 +640,7 @@ def test_large_surface_random_weights_certify():
         basis = harmonic_basis(K, w, 1)
         assert basis.cardinality == 64
         assert basis.residual <= 1e-8, seed
-        L = laplacian(K, w, 1)
+        L = dense_laplacian(K, w, 1)
         for x in basis.vectors.T:
             assert w_norm(w, 1, L @ x) <= 1e-8 * w_norm(w, 1, x), seed
 
